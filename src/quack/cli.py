@@ -73,6 +73,33 @@ def _out_dir(args, cfg) -> Path:
     return args.out if args.out is not None else Path(cfg.out_dir)
 
 
+def _tuned_theta(path: Path, kind: str, cfg) -> dict:
+    """The ``theta`` of a tune run's tuned.json, checked against the kind's box."""
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigError(f"cannot read tuned file {path}: {exc.strerror or exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"tuned file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict) or not isinstance(payload.get("theta"), dict):
+        raise ConfigError(f"tuned file {path} has no 'theta' object")
+    if payload.get("kind") not in (None, kind):
+        raise ConfigError(
+            f"tuned file is for kernel {payload.get('kind')!r}, expected {kind!r}"
+        )
+    theta = payload["theta"]
+    names = experiments.search_space_for(kind, cfg).names
+    if set(theta) != set(names):
+        raise ConfigError(
+            f"tuned file {path} has theta names {sorted(theta)}, "
+            f"expected {sorted(names)} for kernel {kind!r}"
+        )
+    for name, value in theta.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"tuned file {path}: theta {name!r} is not a number: {value!r}")
+    return theta
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -122,12 +149,7 @@ def _dispatch(args, cfg, out: Path) -> int:
         series = experiments.build_series(cfg)
         kind = cfg.kernel
         if args.tuned is not None:
-            payload = json.loads(args.tuned.read_text())
-            if payload.get("kind") not in (None, kind):
-                raise ConfigError(
-                    f"tuned file is for kernel {payload.get('kind')!r}, expected {kind!r}"
-                )
-            theta = payload["theta"]
+            theta = _tuned_theta(args.tuned, kind, cfg)
         else:
             theta = experiments.run_tune(cfg, kind, series, out / f"tune_{kind}").theta
         result = experiments.run_predict(cfg, kind, theta, series, out / f"predict_{kind}")

@@ -60,6 +60,8 @@ class ExperimentConfig:
             raise ConfigError(f"train_frac must be in (0, 1), got {self.train_frac}")
         if self.n0 < 1 or self.n_query < 1:
             raise ConfigError(f"n0={self.n0} and n_query={self.n_query} must be >= 1")
+        if self.restarts < 1:
+            raise ConfigError(f"restarts must be >= 1, got {self.restarts}")
         if self.window > self.qubit_ceiling:
             raise ConfigError(
                 f"window={self.window} exceeds qubit ceiling {self.qubit_ceiling}"

@@ -40,17 +40,17 @@ def build_series(cfg: ExperimentConfig, n_steps: int | None = None) -> timeserie
 
 
 def search_space_for(kind: str, cfg: ExperimentConfig) -> bayesopt.SearchSpace:
-    """Tuning box per kernel kind: kernel parameters, then noise, then mean."""
-    kernel_dims = {
-        "iqp": [("alpha", 0.0, 1.0)],
-        "rbf": [("l_r", 0.1, 30.0)],
-        "matern": [("l_m", 0.1, 30.0)],
-        "rq": [("beta", 0.1, 10.0), ("l_q", 0.1, 30.0)],
-        "periodic": [("p", 5.0, 35.0), ("l_p", 0.1, 30.0)],
-    }
-    if kind not in kernel_dims:
+    """Tuning box per kernel kind: kernel parameters, then noise, then mean.
+
+    Kernel dimensions follow ``kernels.DEFAULT_BOUNDS``; Matern ``nu`` is
+    discrete and fixed per run, so it is not tuned.
+    """
+    if kind not in kernels.DEFAULT_BOUNDS:
         raise ConfigError(f"unknown kernel kind {kind!r}")
-    dims = kernel_dims[kind] + [
+    kernel_dims = [
+        (name, lo, hi) for name, (lo, hi) in kernels.DEFAULT_BOUNDS[kind].items() if name != "nu"
+    ]
+    dims = kernel_dims + [
         ("noise_var", cfg.noise_lo, cfg.noise_hi),
         ("mean_const", cfg.mean_lo, cfg.mean_hi),
     ]

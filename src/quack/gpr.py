@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgError, cho_solve, cholesky, solve_triangular
 
-from . import kernels
+from . import kernels, qkernel
 from .errors import InputError, NumericalError, ParameterError
 
 JITTER_LADDER = (1e-10, 1e-8, 1e-6, 1e-4)
@@ -90,7 +90,7 @@ class FittedGpr:
     qubit_ceiling: int
 
 
-def fit(X, y, hp: GprHyperparams, qubit_ceiling: int = 24) -> FittedGpr:
+def fit(X, y, hp: GprHyperparams, qubit_ceiling: int = qkernel.DEFAULT_QUBIT_CEILING) -> FittedGpr:
     """Factor the regularized Gram matrix and cache the target solve.
 
     Parameters
@@ -163,19 +163,19 @@ def predict_batch(model: FittedGpr, X_query) -> tuple[np.ndarray, np.ndarray]:
             f"query matrix shape {X_query.shape} does not match window length "
             f"{model.X.shape[0]}"
         )
-    kmat = kernels.cross(model.hp.kernel, model.X, X_query, model.qubit_ceiling)
+    kmat, kappa = kernels.cross_and_diag(
+        model.hp.kernel, model.X, X_query, model.qubit_ceiling
+    )
     means = model.hp.mean_const + kmat.T @ model.solve_cache
     half = solve_triangular(model.chol, kmat, lower=True)
-    variances = kernels.self_diag(model.hp.kernel, X_query, model.qubit_ceiling) - np.sum(
-        half * half, axis=0
-    )
+    variances = kappa - np.sum(half * half, axis=0)
     negative = variances < 0.0
     _clamp_count += int(np.count_nonzero(negative))
     variances[negative] = 0.0
     return means, variances
 
 
-def mll(X, y, hp: GprHyperparams, qubit_ceiling: int = 24) -> float:
+def mll(X, y, hp: GprHyperparams, qubit_ceiling: int = qkernel.DEFAULT_QUBIT_CEILING) -> float:
     """Marginal log likelihood log N(y; m 1, K + sn2 I).
 
     Evaluated from the Cholesky factor: the log-determinant is twice the

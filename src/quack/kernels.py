@@ -188,30 +188,34 @@ def gram(model: KernelModel, X, qubit_ceiling: int = qkernel.DEFAULT_QUBIT_CEILI
     return out
 
 
-def cross(model: KernelModel, X, X2, qubit_ceiling: int = qkernel.DEFAULT_QUBIT_CEILING) -> np.ndarray:
-    """Kernel matrix between columns of X (c) and X2 (c2); shape (c, c2)."""
+def _check_lengths(X, X2) -> tuple[np.ndarray, np.ndarray]:
     X = np.asarray(X, dtype=float)
     X2 = np.asarray(X2, dtype=float)
     if X.shape[0] != X2.shape[0]:
         raise InputError(f"window lengths differ: {X.shape[0]} vs {X2.shape[0]}")
+    return X, X2
+
+
+def cross(model: KernelModel, X, X2, qubit_ceiling: int = qkernel.DEFAULT_QUBIT_CEILING) -> np.ndarray:
+    """Kernel matrix between columns of X (c) and X2 (c2); shape (c, c2)."""
+    X, X2 = _check_lengths(X, X2)
     if model.kind == "iqp":
         params = qkernel.IqpParams(alpha=model.params["alpha"], n=X.shape[0])
         return qkernel.cross_gram(X, X2, params, qubit_ceiling)
     return _classical_matrix(model, X, X2)
 
 
-def self_diag(model: KernelModel, X, qubit_ceiling: int = qkernel.DEFAULT_QUBIT_CEILING) -> np.ndarray:
-    """kappa(x, x) for each column of X.
+def cross_and_diag(
+    model: KernelModel, X, X2, qubit_ceiling: int = qkernel.DEFAULT_QUBIT_CEILING
+) -> tuple[np.ndarray, np.ndarray]:
+    """``cross(model, X, X2)`` and kappa(x, x) for each column of X2.
 
     Classical kernels are exactly 1 at zero distance; the fidelity kernel
-    returns the squared-norm-squared of each embedding, 1 up to rounding.
+    embeds each column of X2 once for both outputs and returns the
+    squared-norm-squared of each embedding, 1 up to rounding.
     """
-    X = np.asarray(X, dtype=float)
-    if model.kind != "iqp":
-        return np.ones(X.shape[1])
-    params = qkernel.IqpParams(alpha=model.params["alpha"], n=X.shape[0])
-    emb = np.column_stack(
-        [qkernel.embed(X[:, j], params, qubit_ceiling) for j in range(X.shape[1])]
-    )
-    norms2 = np.sum(np.abs(emb) ** 2, axis=0)
-    return norms2**2
+    X, X2 = _check_lengths(X, X2)
+    if model.kind == "iqp":
+        params = qkernel.IqpParams(alpha=model.params["alpha"], n=X.shape[0])
+        return qkernel.cross_gram_and_diag(X, X2, params, qubit_ceiling)
+    return _classical_matrix(model, X, X2), np.ones(X2.shape[1])

@@ -21,12 +21,36 @@ dense-oracle comparison is not, so both paths here share this convention.
 
 Two evaluation paths are provided:
 
-* the fast path (:func:`embed`) applies the diagonal phases directly and
-  uses an unnormalized fast Walsh-Hadamard transform, deferring the
-  combined ``2^-n`` normalization to a single exact scaling at the end;
+* the fast path (:func:`embed_columns`) applies the diagonal phases
+  directly and uses an unnormalized fast Walsh-Hadamard transform,
+  deferring the combined ``2^-n`` normalization to a single exact scaling
+  at the end;
 * the dense oracle (:func:`embed_dense`) materializes the ``2^n x 2^n``
   Hadamard and diagonal matrices and multiplies them.  It is exponentially
   slower and exists as an independent reference for tests.
+
+The fast path is a block path.  It embeds the c columns of a (w, c) design
+into one preallocated (c, 2^n) array, building the sign matrix once per
+call and running the butterflies over blocks of whole rows of at most
+``_BLOCK_AMPLITUDES`` amplitudes: a thousand windows at 5 qubits, one at
+16, so each transform stays in cache.  :func:`embed` is the one-column
+case.  :func:`cross_gram_and_diag` embeds its query columns in chunks, so
+only one chunk of query states is live at a time.
+
+Every floating-point operation is the one, in the same order, that an
+embedding done one window at a time performs, so results are bit-for-bit
+independent of how the columns are blocked:
+
+* each column's linear phase ``z @ x`` is its own matrix-vector product;
+  one matrix-matrix product over all columns would round differently;
+* butterflies (stage by stage over bits 0, 1, ..., n-1), phase products
+  and the scaling are elementwise;
+* an overlap product never gets a lone query column from chunking, which
+  would dispatch a matrix-vector kernel instead of the matrix-matrix one;
+  where a single state is genuinely on one side, the operands are passed
+  in the amplitude-major layout of column-stacked states;
+* squared norms are summed over an amplitude-major copy, in the order
+  numpy uses for column-stacked states.
 
 Everything here is a pure function of its inputs; returned arrays are
 never aliased to caller data and are safe to share across threads.
@@ -42,6 +66,10 @@ from .errors import InputError, ResourceError
 
 # 2^24 complex amplitudes ~ 256 MB; larger windows are refused.
 DEFAULT_QUBIT_CEILING = 24
+
+# Amplitudes per butterfly block (512 KiB of complex128): whole windows are
+# grouped up to this size, and a wider window is a block on its own.
+_BLOCK_AMPLITUDES = 2**15
 
 
 @dataclass(frozen=True)
@@ -70,6 +98,17 @@ def _as_window(x, n: int | None = None) -> np.ndarray:
     if n is not None and x.shape[0] != n:
         raise InputError(f"window length {x.shape[0]} does not match qubit count {n}")
     return x
+
+
+def _as_design(X, n: int) -> np.ndarray:
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise InputError(f"expected a (w, c) design matrix, got shape {X.shape}")
+    if X.shape[0] != n:
+        raise InputError(f"window length {X.shape[0]} does not match qubit count {n}")
+    if not np.all(np.isfinite(X)):
+        raise InputError("window contains non-finite values")
+    return X
 
 
 def _zsigns(n: int) -> np.ndarray:
@@ -105,22 +144,34 @@ def diagonal_phases(x, alpha: float) -> np.ndarray:
     return params.alpha * s + params.alpha**2 * (s * s - x @ x) / 2.0
 
 
-def _fwht(v: np.ndarray) -> np.ndarray:
-    """In-place unnormalized fast Walsh-Hadamard transform (length 2^n)."""
-    size = v.shape[0]
-    h = 1
-    while h < size:
-        v = v.reshape(-1, 2 * h)
-        left = v[:, :h].copy()
-        v[:, :h] += v[:, h:]
-        v[:, h:] = left - v[:, h:]
-        v = v.reshape(size)
-        h *= 2
-    return v
+def _fwht(src: np.ndarray, out: np.ndarray) -> None:
+    """Unnormalized fast Walsh-Hadamard transform of each row of ``src``.
+
+    Radix-2 butterflies over bit 0, 1, ..., n-1 of the amplitude index, in
+    constant geometry: a stage adds and subtracts adjacent pairs and writes
+    the sums to the first half of the row and the differences to the
+    second half.  That rotates the index bits by one, so the next stage's
+    pairs are again adjacent and after n stages every amplitude is back in
+    place.  Each stage reads long strided runs and writes contiguous ones,
+    alternating between ``out`` and a scratch block so the last stage
+    writes ``out``; ``src`` is left unchanged.
+    """
+    size = src.shape[1]
+    half = size // 2
+    stages = size.bit_length() - 1
+    scratch = np.empty_like(out)
+    targets = (out, scratch) if stages % 2 == 1 else (scratch, out)
+    for stage in range(stages):
+        dst = targets[stage % 2]
+        np.add(src[:, 0::2], src[:, 1::2], out=dst[:, :half])
+        np.subtract(src[:, 0::2], src[:, 1::2], out=dst[:, half:])
+        src = dst
 
 
-def embed(x, params: IqpParams, qubit_ceiling: int = DEFAULT_QUBIT_CEILING) -> np.ndarray:
-    """Statevector of the embedded window, fast structured path.
+def embed_columns(
+    X, params: IqpParams, qubit_ceiling: int = DEFAULT_QUBIT_CEILING
+) -> np.ndarray:
+    """Statevectors of every column of a (w, c) design, fast block path.
 
     Applies phase multiplication and Walsh-Hadamard butterflies without
     intermediate normalization; the combined factor ``2^-n`` from both
@@ -129,31 +180,58 @@ def embed(x, params: IqpParams, qubit_ceiling: int = DEFAULT_QUBIT_CEILING) -> n
 
     Parameters
     ----------
-    x : array_like, shape (n,)
-        Window to encode.
+    X : array_like, shape (n, c)
+        Windows to encode, one per column.
     params : IqpParams
-        Bandwidth and qubit count; ``params.n`` must equal ``len(x)``.
+        Bandwidth and qubit count; ``params.n`` must equal the window length.
     qubit_ceiling : int
         Refuse windows longer than this (memory guard).
 
     Returns
     -------
-    numpy.ndarray, complex, shape (2^n,)
-        Unit-norm amplitudes, little-endian basis order.
+    numpy.ndarray, complex, shape (c, 2^n)
+        Unit-norm amplitudes of column ``j`` in row ``j``, little-endian
+        basis order.
     """
     if params.n > qubit_ceiling:
         raise ResourceError(
             f"{params.n} qubits exceeds the ceiling of {qubit_ceiling} "
             f"({2**params.n} amplitudes)"
         )
+    return _embed(_as_design(X, params.n), params.alpha, _zsigns(params.n))
+
+
+def _embed(X: np.ndarray, alpha: float, zs: np.ndarray) -> np.ndarray:
+    """Block path of :func:`embed_columns` on a checked design and sign matrix."""
+    size, n = zs.shape
+    states = np.empty((X.shape[1], size), dtype=complex)
+    step = max(1, _BLOCK_AMPLITUDES // size)
+    for start in range(0, X.shape[1], step):
+        block = states[start : start + step]
+        s = np.empty((block.shape[0], size))
+        xx = np.empty((block.shape[0], 1))
+        for row in range(block.shape[0]):
+            x = X[:, start + row]
+            s[row] = zs @ x
+            xx[row] = x @ x
+        phase = np.exp(1j * (alpha * s + alpha**2 * (s * s - xx) / 2.0))
+        # H^n |0..0> is uniform; unnormalized it is the all-ones vector.
+        _fwht(phase, block)
+        block *= phase
+        block *= 2.0 ** (-n)
+    return states
+
+
+def embed(x, params: IqpParams, qubit_ceiling: int = DEFAULT_QUBIT_CEILING) -> np.ndarray:
+    """Statevector of one window: :func:`embed_columns` on a single column.
+
+    Returns
+    -------
+    numpy.ndarray, complex, shape (2^n,)
+        Unit-norm amplitudes, little-endian basis order.
+    """
     x = _as_window(x, params.n)
-    phase = np.exp(1j * diagonal_phases(x, params.alpha))
-    # H^n |0..0> is uniform; unnormalized it is the all-ones vector.
-    state = phase.copy()
-    state = _fwht(state)
-    state *= phase
-    state *= 2.0 ** (-params.n)
-    return state
+    return embed_columns(x[:, None], params, qubit_ceiling)[0]
 
 
 def embed_dense(x, params: IqpParams) -> np.ndarray:
@@ -199,18 +277,18 @@ def kernel(x, x2, params: IqpParams, qubit_ceiling: int = DEFAULT_QUBIT_CEILING)
     return float(np.abs(np.vdot(a, b)) ** 2)
 
 
-def _embed_columns(X: np.ndarray, params: IqpParams, qubit_ceiling: int) -> np.ndarray:
-    """Embed every column of a (w, c) design matrix; returns (2^n, c)."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise InputError(f"expected a (w, c) design matrix, got shape {X.shape}")
-    if X.shape[0] != params.n:
-        raise InputError(
-            f"window length {X.shape[0]} does not match qubit count {params.n}"
-        )
-    return np.column_stack(
-        [embed(X[:, j], params, qubit_ceiling) for j in range(X.shape[1])]
-    )
+def _fidelities(bra: np.ndarray, ket: np.ndarray) -> np.ndarray:
+    """|<a|b>|^2 for rows ``a`` of ``bra`` (conjugated) and rows ``b`` of ``ket``.
+
+    With one row on either side numpy dispatches a matrix-vector product,
+    whose rounding depends on the matrix's memory order; both operands are
+    then passed amplitude-major, the order of column-stacked states.
+    """
+    if min(bra.shape[0], ket.shape[0]) == 1:
+        product = np.ascontiguousarray(bra.T).T @ np.ascontiguousarray(ket.T)
+    else:
+        product = bra @ ket.T
+    return np.abs(product) ** 2
 
 
 def gram_matrix(
@@ -222,9 +300,9 @@ def gram_matrix(
     unordered pairs (upper triangle mirrored), so the result is exactly
     symmetric, and the diagonal is set to the exact self-fidelity 1.
     """
-    emb = _embed_columns(X, params, qubit_ceiling)
-    c = emb.shape[1]
-    gram = np.abs(emb.conj().T @ emb) ** 2
+    emb = embed_columns(X, params, qubit_ceiling)
+    c = emb.shape[0]
+    gram = _fidelities(emb.conj(), emb)
     iu, ju = np.triu_indices(c, k=1)
     gram[ju, iu] = gram[iu, ju]
     np.fill_diagonal(gram, 1.0)
@@ -235,6 +313,46 @@ def cross_gram(
     X, X2, params: IqpParams, qubit_ceiling: int = DEFAULT_QUBIT_CEILING
 ) -> np.ndarray:
     """Fidelities between columns of X (c) and columns of X2 (c2); shape (c, c2)."""
-    emb1 = _embed_columns(X, params, qubit_ceiling)
-    emb2 = _embed_columns(X2, params, qubit_ceiling)
-    return np.abs(emb1.conj().T @ emb2) ** 2
+    emb1 = embed_columns(X, params, qubit_ceiling)
+    emb2 = embed_columns(X2, params, qubit_ceiling)
+    return _fidelities(emb1.conj(), emb2)
+
+
+def cross_gram_and_diag(
+    X, X2, params: IqpParams, qubit_ceiling: int = DEFAULT_QUBIT_CEILING
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`cross_gram` of X and X2, and the self-fidelity of each X2 state.
+
+    The columns of X2 are embedded once, in chunks, and each chunk serves
+    both outputs.  The self-fidelity is the squared norm, squared, of the
+    state as embedded: 1 up to rounding.
+
+    Chunks are a multiple of 8 columns wide, so that they split the
+    overlap product where OpenBLAS's matrix-matrix kernels split it
+    anyway (groups of 4 query columns on x86-64), and a lone last column
+    joins the chunk before it.  Either way each fidelity is rounded as in
+    the product over all of X2 at once.
+
+    Returns
+    -------
+    (numpy.ndarray, numpy.ndarray)
+        Fidelities of shape (c, c2) and self-fidelities of shape (c2,).
+    """
+    bra = embed_columns(X, params, qubit_ceiling).conj()
+    X2 = _as_design(X2, params.n)
+    zs = _zsigns(params.n)
+    c2 = X2.shape[1]
+    fidelity = np.empty((bra.shape[0], c2))
+    diag = np.empty(c2)
+    width = max(8, _BLOCK_AMPLITUDES // 2**params.n)
+    bounds = list(range(0, c2, width)) + [c2]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        ket = _embed(X2[:, start:stop], params.alpha, zs)
+        fidelity[:, start:stop] = _fidelities(bra, ket)
+        # Summed over an amplitude-major (2^n, k) copy, as over column-stacked
+        # states: numpy adds its rows one after another (pairwise if k = 1).
+        norms2 = np.sum((np.abs(ket) ** 2).T.copy(), axis=0)
+        diag[start:stop] = norms2**2
+    return fidelity, diag

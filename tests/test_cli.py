@@ -66,6 +66,30 @@ class TestConfig:
         with pytest.raises(ConfigError):
             cfg.validate()
 
+    def test_zero_restarts_rejected(self, tmp_path):
+        cfg = ExperimentConfig()
+        cfg.restarts = 0
+        with pytest.raises(ConfigError):
+            cfg.validate()
+        cfg_path = _write_config(tmp_path, "restarts = 0\n")
+        code = cli.main(["--config", str(cfg_path), "--out", str(tmp_path), "tune"])
+        assert code == cli.EXIT_CONFIG
+
+    def test_search_space_follows_kernel_bounds(self):
+        cfg = ExperimentConfig()
+        tail = (("noise_var", 0.0, 1.0), ("mean_const", -1.0, 1.0))
+        expected = {
+            "iqp": (("alpha", 0.0, 1.0),),
+            "rbf": (("l_r", 0.1, 30.0),),
+            "matern": (("l_m", 0.1, 30.0),),
+            "rq": (("beta", 0.1, 10.0), ("l_q", 0.1, 30.0)),
+            "periodic": (("p", 5.0, 35.0), ("l_p", 0.1, 30.0)),
+        }
+        for kind, dims in expected.items():
+            assert experiments.search_space_for(kind, cfg).dims == dims + tail
+        with pytest.raises(ConfigError):
+            experiments.search_space_for("spline", cfg)
+
     def test_snapshot_round_trips_to_json(self):
         text = json.dumps(snapshot(load_config(env={})))
         assert json.loads(text)["gen.n_steps"] == 240
@@ -239,6 +263,38 @@ class TestAblateCommand:
         for line in lines[1:]:
             _, ll, mae = line.split(",")
             assert np.isfinite(float(ll)) and np.isfinite(float(mae))
+
+
+class TestTunedFile:
+    """Every unusable --tuned file exits 2 with a one-line message."""
+
+    def _predict(self, tmp_path, capsys, tuned):
+        cfg_path = _write_config(tmp_path, FAST_BO)
+        code = cli.main([
+            "--config", str(cfg_path), "--out", str(tmp_path), "predict", "--tuned", str(tuned),
+        ])
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return code
+
+    def test_missing_file(self, tmp_path, capsys):
+        assert self._predict(tmp_path, capsys, tmp_path / "absent.json") == cli.EXIT_CONFIG
+
+    def test_malformed_json(self, tmp_path, capsys):
+        tuned = tmp_path / "tuned.json"
+        tuned.write_text('{"kind": "iqp", "theta": ')
+        assert self._predict(tmp_path, capsys, tuned) == cli.EXIT_CONFIG
+
+    def test_missing_theta(self, tmp_path, capsys):
+        tuned = tmp_path / "tuned.json"
+        tuned.write_text(json.dumps({"kind": "iqp"}))
+        assert self._predict(tmp_path, capsys, tuned) == cli.EXIT_CONFIG
+
+    def test_theta_names_mismatch(self, tmp_path, capsys):
+        tuned = tmp_path / "tuned.json"
+        theta = {"l_r": 1.0, "noise_var": 0.1, "mean_const": 0.0}
+        tuned.write_text(json.dumps({"kind": "iqp", "theta": theta}))
+        assert self._predict(tmp_path, capsys, tuned) == cli.EXIT_CONFIG
 
 
 class TestExitCodes:

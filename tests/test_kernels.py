@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from quack import kernels
+from quack import kernels, qkernel
 from quack.errors import InputError, ParameterError
 from quack.kernels import KernelModel, cross, evaluate, gram, matern, periodic, rbf, rq
 
@@ -199,8 +199,42 @@ class TestDispatch:
     def test_self_diag(self):
         rng = np.random.default_rng(32)
         X = rng.normal(size=(4, 5))
-        assert np.array_equal(
-            kernels.self_diag(KernelModel("rbf", {"l_r": 1.0}), X), np.ones(5)
-        )
-        quantum = kernels.self_diag(KernelModel("iqp", {"alpha": 0.6}), X)
+        _, classical = kernels.cross_and_diag(KernelModel("rbf", {"l_r": 1.0}), X, X)
+        assert np.array_equal(classical, np.ones(5))
+        _, quantum = kernels.cross_and_diag(KernelModel("iqp", {"alpha": 0.6}), X, X)
         assert np.abs(quantum - 1.0).max() < 1e-10
+
+    @pytest.mark.parametrize(
+        "n, c2",
+        [
+            (5, 7),  # one chunk
+            (14, 1),  # a single query
+            (14, 9),  # 8-column chunks: the 1-column remainder joins the first
+            (14, 17),  # two chunks, the second with the remainder
+        ],
+    )
+    def test_cross_and_diag_is_cross_plus_self_fidelity(self, n, c2):
+        rng = np.random.default_rng(33)
+        X = rng.normal(size=(n, 4))
+        X2 = rng.normal(size=(n, c2))
+        model = KernelModel("iqp", {"alpha": 0.45})
+        kmat, kappa = kernels.cross_and_diag(model, X, X2)
+        assert np.array_equal(kmat, cross(model, X, X2))
+        params = qkernel.IqpParams(0.45, n)
+        for j in range(c2):
+            state = qkernel.embed(X2[:, j], params)
+            assert kappa[j] == pytest.approx(np.vdot(state, state).real ** 2, abs=1e-12)
+
+    def test_cross_and_diag_classical(self):
+        rng = np.random.default_rng(34)
+        X, X2 = rng.normal(size=(3, 4)), rng.normal(size=(3, 6))
+        model = KernelModel("rq", {"beta": 2.0, "l_q": 1.5})
+        kmat, kappa = kernels.cross_and_diag(model, X, X2)
+        assert np.array_equal(kmat, cross(model, X, X2))
+        assert np.array_equal(kappa, np.ones(6))
+
+    def test_cross_and_diag_length_mismatch(self):
+        with pytest.raises(InputError):
+            kernels.cross_and_diag(
+                KernelModel("iqp", {"alpha": 0.5}), np.zeros((3, 2)), np.zeros((4, 2))
+            )

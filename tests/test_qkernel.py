@@ -10,6 +10,7 @@ from quack.qkernel import (
     cross_gram,
     diagonal_phases,
     embed,
+    embed_columns,
     embed_dense,
     gram_matrix,
     kernel,
@@ -93,6 +94,49 @@ class TestDenseOracle:
                 fast = embed(x, params)
                 dense = embed_dense(x, params)
                 assert np.abs(fast - dense).max() < 1e-10
+
+
+class TestBlockPath:
+    def test_blocks_match_dense_oracle(self):
+        rng = np.random.default_rng(21)
+        for n in range(1, 9):
+            X = rng.normal(size=(n, 6))
+            params = IqpParams(rng.uniform(0, 1), n)
+            states = embed_columns(X, params)
+            assert states.shape == (6, 2**n)
+            for j in range(6):
+                assert np.abs(states[j] - embed_dense(X[:, j], params)).max() < 1e-10
+
+    @pytest.mark.parametrize(
+        "n, c",
+        [
+            # more columns than one block holds at 5 qubits
+            (5, qkernel._BLOCK_AMPLITUDES // 2**5 + 3),
+            # blocks of two windows at 14 qubits; the third starts a new block
+            (14, 3),
+        ],
+    )
+    def test_columns_bit_equal_to_single_column_calls(self, n, c):
+        rng = np.random.default_rng(22)
+        X = rng.normal(size=(n, c))
+        params = IqpParams(0.63, n)
+        states = embed_columns(X, params)
+        for j in range(c):
+            assert np.array_equal(states[j], embed(X[:, j], params))
+
+    def test_zero_columns(self):
+        assert embed_columns(np.zeros((3, 0)), IqpParams(0.5, 3)).shape == (0, 8)
+
+    def test_rejects_bad_designs(self):
+        params = IqpParams(0.5, 3)
+        with pytest.raises(InputError):
+            embed_columns(np.zeros(3), params)
+        with pytest.raises(InputError):
+            embed_columns(np.zeros((4, 2)), params)
+        with pytest.raises(InputError):
+            embed_columns(np.array([[0.0], [np.nan], [1.0]]), params)
+        with pytest.raises(ResourceError):
+            embed_columns(np.zeros((3, 2)), params, qubit_ceiling=2)
 
 
 class TestKernel:
