@@ -34,8 +34,9 @@ into one preallocated (c, 2^n) array, building the sign matrix once per
 call and running the butterflies over blocks of whole rows of at most
 ``_BLOCK_AMPLITUDES`` amplitudes: a thousand windows at 5 qubits, one at
 16, so each transform stays in cache.  :func:`embed` is the one-column
-case.  :func:`cross_gram_and_diag` embeds its query columns in chunks, so
-only one chunk of query states is live at a time.
+case.  :func:`cross_gram_and_diag`, and :func:`cross_gram` through it,
+embeds its query columns in chunks, so only one chunk of query states is
+live at a time.
 
 Every floating-point operation is the one, in the same order, that an
 embedding done one window at a time performs, so results are bit-for-bit
@@ -89,10 +90,12 @@ class IqpParams:
             raise InputError(f"qubit count must be >= 1, got {self.n}")
 
 
-def _as_window(x, n: int | None = None) -> np.ndarray:
+def _as_window(x, n: int | None = None, ndim: int = 1) -> np.ndarray:
+    """``x`` as a finite float window (``ndim=1``) or (w, c) design (``ndim=2``)."""
     x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise InputError(f"expected a 1-d window, got shape {x.shape}")
+    if x.ndim != ndim:
+        expected = "a 1-d window" if ndim == 1 else "a (w, c) design matrix"
+        raise InputError(f"expected {expected}, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise InputError("window contains non-finite values")
     if n is not None and x.shape[0] != n:
@@ -100,22 +103,26 @@ def _as_window(x, n: int | None = None) -> np.ndarray:
     return x
 
 
-def _as_design(X, n: int) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise InputError(f"expected a (w, c) design matrix, got shape {X.shape}")
-    if X.shape[0] != n:
-        raise InputError(f"window length {X.shape[0]} does not match qubit count {n}")
-    if not np.all(np.isfinite(X)):
-        raise InputError("window contains non-finite values")
-    return X
-
-
 def _zsigns(n: int) -> np.ndarray:
     """(2^n, n) matrix of Pauli-Z eigenvalues per basis state, little-endian."""
     idx = np.arange(2**n)
     bits = (idx[:, None] >> np.arange(n)[None, :]) & 1
     return 1.0 - 2.0 * bits
+
+
+def _signs(params: IqpParams, qubit_ceiling: int) -> np.ndarray:
+    """:func:`_zsigns` for ``params.n`` qubits, refusing more than the ceiling."""
+    if params.n > qubit_ceiling:
+        raise ResourceError(
+            f"{params.n} qubits exceeds the ceiling of {qubit_ceiling} "
+            f"({2**params.n} amplitudes)"
+        )
+    return _zsigns(params.n)
+
+
+def _phases(s: np.ndarray, xx, alpha: float) -> np.ndarray:
+    """Phases from ``s = z @ x`` and ``xx = x @ x``; see :func:`diagonal_phases`."""
+    return alpha * s + alpha**2 * (s * s - xx) / 2.0
 
 
 def diagonal_phases(x, alpha: float) -> np.ndarray:
@@ -140,8 +147,7 @@ def diagonal_phases(x, alpha: float) -> np.ndarray:
     """
     x = _as_window(x)
     params = IqpParams(alpha=float(alpha), n=x.shape[0])
-    s = _zsigns(params.n) @ x
-    return params.alpha * s + params.alpha**2 * (s * s - x @ x) / 2.0
+    return _phases(_zsigns(params.n) @ x, x @ x, params.alpha)
 
 
 def _fwht(src: np.ndarray, out: np.ndarray) -> None:
@@ -193,12 +199,8 @@ def embed_columns(
         Unit-norm amplitudes of column ``j`` in row ``j``, little-endian
         basis order.
     """
-    if params.n > qubit_ceiling:
-        raise ResourceError(
-            f"{params.n} qubits exceeds the ceiling of {qubit_ceiling} "
-            f"({2**params.n} amplitudes)"
-        )
-    return _embed(_as_design(X, params.n), params.alpha, _zsigns(params.n))
+    X = _as_window(X, params.n, ndim=2)
+    return _embed(X, params.alpha, _signs(params, qubit_ceiling))
 
 
 def _embed(X: np.ndarray, alpha: float, zs: np.ndarray) -> np.ndarray:
@@ -214,7 +216,7 @@ def _embed(X: np.ndarray, alpha: float, zs: np.ndarray) -> np.ndarray:
             x = X[:, start + row]
             s[row] = zs @ x
             xx[row] = x @ x
-        phase = np.exp(1j * (alpha * s + alpha**2 * (s * s - xx) / 2.0))
+        phase = np.exp(1j * _phases(s, xx, alpha))
         # H^n |0..0> is uniform; unnormalized it is the all-ones vector.
         _fwht(phase, block)
         block *= phase
@@ -231,7 +233,7 @@ def embed(x, params: IqpParams, qubit_ceiling: int = DEFAULT_QUBIT_CEILING) -> n
         Unit-norm amplitudes, little-endian basis order.
     """
     x = _as_window(x, params.n)
-    return embed_columns(x[:, None], params, qubit_ceiling)[0]
+    return _embed(x[:, None], params.alpha, _signs(params, qubit_ceiling))[0]
 
 
 def embed_dense(x, params: IqpParams) -> np.ndarray:
@@ -312,16 +314,18 @@ def gram_matrix(
 def cross_gram(
     X, X2, params: IqpParams, qubit_ceiling: int = DEFAULT_QUBIT_CEILING
 ) -> np.ndarray:
-    """Fidelities between columns of X (c) and columns of X2 (c2); shape (c, c2)."""
-    emb1 = embed_columns(X, params, qubit_ceiling)
-    emb2 = embed_columns(X2, params, qubit_ceiling)
-    return _fidelities(emb1.conj(), emb2)
+    """Fidelities between columns of X (c) and columns of X2 (c2); shape (c, c2).
+
+    The first output of :func:`cross_gram_and_diag`, so X2 is embedded in
+    chunks here too.
+    """
+    return cross_gram_and_diag(X, X2, params, qubit_ceiling)[0]
 
 
 def cross_gram_and_diag(
     X, X2, params: IqpParams, qubit_ceiling: int = DEFAULT_QUBIT_CEILING
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`cross_gram` of X and X2, and the self-fidelity of each X2 state.
+    """Fidelities between columns of X and X2, and the self-fidelity of each X2 state.
 
     The columns of X2 are embedded once, in chunks, and each chunk serves
     both outputs.  The self-fidelity is the squared norm, squared, of the
@@ -330,17 +334,17 @@ def cross_gram_and_diag(
     Chunks are a multiple of 8 columns wide, so that they split the
     overlap product where OpenBLAS's matrix-matrix kernels split it
     anyway (groups of 4 query columns on x86-64), and a lone last column
-    joins the chunk before it.  Either way each fidelity is rounded as in
-    the product over all of X2 at once.
+    joins the chunk before it.  With OpenBLAS each fidelity is then
+    rounded as in the product over all of X2 at once.
 
     Returns
     -------
     (numpy.ndarray, numpy.ndarray)
         Fidelities of shape (c, c2) and self-fidelities of shape (c2,).
     """
-    bra = embed_columns(X, params, qubit_ceiling).conj()
-    X2 = _as_design(X2, params.n)
-    zs = _zsigns(params.n)
+    zs = _signs(params, qubit_ceiling)
+    bra = _embed(_as_window(X, params.n, ndim=2), params.alpha, zs).conj()
+    X2 = _as_window(X2, params.n, ndim=2)
     c2 = X2.shape[1]
     fidelity = np.empty((bra.shape[0], c2))
     diag = np.empty(c2)

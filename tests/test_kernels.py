@@ -221,6 +221,10 @@ class TestDispatch:
         kmat, kappa = kernels.cross_and_diag(model, X, X2)
         assert np.array_equal(kmat, cross(model, X, X2))
         params = qkernel.IqpParams(0.45, n)
+        # one product over unchunked states; chunking may round differently
+        # on another BLAS, so compare at a tolerance
+        whole = qkernel.embed_columns(X, params).conj() @ qkernel.embed_columns(X2, params).T
+        assert kmat == pytest.approx(np.abs(whole) ** 2, abs=1e-12)
         for j in range(c2):
             state = qkernel.embed(X2[:, j], params)
             assert kappa[j] == pytest.approx(np.vdot(state, state).real ** 2, abs=1e-12)

@@ -244,3 +244,14 @@ class TestGramMatrix:
                 assert cg[i, j] == pytest.approx(
                     kernel(X[:, i], X2[:, j], params), abs=1e-12
                 )
+
+    def test_cross_gram_chunked(self):
+        # one reference state against query chunks of 8 + 9 columns
+        rng = np.random.default_rng(14)
+        x = rng.normal(size=14)
+        X2 = rng.normal(size=(14, 17))
+        params = IqpParams(0.5, 14)
+        cg = cross_gram(x[:, None], X2, params)
+        assert cg.shape == (1, 17)
+        for j in range(17):
+            assert cg[0, j] == pytest.approx(kernel(x, X2[:, j], params), abs=1e-12)
