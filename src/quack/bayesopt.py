@@ -4,14 +4,16 @@ The tuner maximizes a black-box objective over a box: a Sobol batch of
 ``n0`` points seeds the search, then ``N`` query points are chosen one at
 a time by maximizing log expected improvement under a Matern-5/2 GP
 surrogate.  The objective itself is never differentiated; only the
-acquisition is, by central finite differences inside a bound-constrained
+acquisition is, analytically, through the closed-form Matern-5/2
+posterior mean and variance at one point, inside a bound-constrained
 quasi-Newton (L-BFGS-B) inner loop.
 
 Surrogate inputs are normalized to the unit cube and values standardized
 to zero mean / unit variance; its own lengthscale and noise are picked by
 maximizing the surrogate marginal log likelihood over a fixed 128-point
 Sobol grid, which keeps the whole pipeline deterministic for a given
-seed.
+seed.  All grid points share one distance matrix of the trials, so a
+grid point costs one Gram, one Cholesky factorization and one solve.
 
 The tune loop is inherently sequential; each proposal depends on all
 prior results.  Sobol-phase evaluations and restarts are independent and
@@ -25,6 +27,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import solve_triangular
 from scipy.optimize import minimize
 from scipy.special import erfcx, ndtr
 from scipy.stats import qmc
@@ -46,7 +49,6 @@ _SURROGATE_NOISE_BOUNDS = (1e-6, 1e-1)
 
 _SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-_FD_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -146,10 +148,6 @@ def sobol_init(space: SearchSpace, n0: int, seed: int) -> np.ndarray:
     return space.from_unit(unit)
 
 
-def _npdf(z: np.ndarray) -> np.ndarray:
-    return _INV_SQRT_2PI * np.exp(-0.5 * z * z)
-
-
 def expected_improvement(mean: float, sd: float, incumbent: float) -> float:
     """E[max(0, g - incumbent)] for g ~ N(mean, sd^2); >= 0.
 
@@ -160,52 +158,35 @@ def expected_improvement(mean: float, sd: float, incumbent: float) -> float:
     if sd == 0.0:
         return max(0.0, mean - incumbent)
     delta = (mean - incumbent) / sd
-    return sd * (delta * float(ndtr(delta)) + float(_npdf(delta)))
+    return sd * (delta * float(ndtr(delta)) + _INV_SQRT_2PI * math.exp(-0.5 * delta * delta))
 
 
-def _log_h_tail(delta: np.ndarray) -> np.ndarray:
-    """log(delta*Phi(delta) + phi(delta)) for delta <= -1, underflow-safe.
+def _log_h(delta: float) -> tuple[float, float]:
+    """log h and Phi / h at delta, where h = delta Phi(delta) + phi(delta).
 
-    Factors out phi(delta) and evaluates g = 1 - |delta| * Mills(delta)
-    through erfcx; below the deep-tail switch the Mills ratio asymptotic
-    series takes over, where the erfcx subtraction would lose precision.
+    log EI = log sd + log h((mean - f*) / sd), and Phi / h is the factor
+    the acquisition gradient needs, since h' = Phi.  Above -1 both come
+    directly.  Below, phi(delta) is factored out: h = phi(delta) g with
+    g = 1 - |delta| M and M = Phi(delta) / phi(delta) the Mills ratio, so
+    Phi / h = M / g, with M from erfcx.  Below the deep-tail switch, where
+    the subtraction in g would lose precision, the asymptotic Mills-ratio
+    series gives g = t p(t) with t = 1 / delta^2 and M = (1 - g) / |delta|,
+    so M / g = (1 - g) |delta| / p.
     """
-    delta = np.asarray(delta, dtype=float)
-    a = np.abs(delta)
-    g = np.empty_like(a)
-    shallow = delta >= _DEEP_TAIL
-    if np.any(shallow):
-        mills = _SQRT_HALF_PI * erfcx(a[shallow] / math.sqrt(2.0))
-        g[shallow] = 1.0 - a[shallow] * mills
-    if np.any(~shallow):
-        t = 1.0 / (delta[~shallow] * delta[~shallow])
-        g[~shallow] = t * (1.0 - t * (3.0 - t * (15.0 - t * (105.0 - 945.0 * t))))
-    return -0.5 * delta * delta - 0.5 * math.log(2.0 * math.pi) + np.log(g)
-
-
-def _log_ei_array(means: np.ndarray, sds: np.ndarray, incumbent: float) -> np.ndarray:
-    means = np.asarray(means, dtype=float)
-    sds = np.asarray(sds, dtype=float)
-    out = np.full(means.shape, LOG_EI_FLOOR)
-    zero_sd = sds == 0.0
-    if np.any(zero_sd):
-        improvement = means[zero_sd] - incumbent
-        pos = improvement > 0.0
-        vals = np.full(improvement.shape, LOG_EI_FLOOR)
-        vals[pos] = np.log(improvement[pos])
-        out[zero_sd] = vals
-    if np.any(~zero_sd):
-        m, s = means[~zero_sd], sds[~zero_sd]
-        delta = (m - incumbent) / s
-        vals = np.empty_like(delta)
-        direct = delta > -1.0
-        if np.any(direct):
-            d = delta[direct]
-            vals[direct] = np.log(d * ndtr(d) + _npdf(d))
-        if np.any(~direct):
-            vals[~direct] = _log_h_tail(delta[~direct])
-        out[~zero_sd] = np.log(s) + vals
-    return out
+    if delta > -1.0:
+        cdf = float(ndtr(delta))
+        h = delta * cdf + _INV_SQRT_2PI * math.exp(-0.5 * delta * delta)
+        return math.log(h), cdf / h
+    a = -delta
+    if delta >= _DEEP_TAIL:
+        mills = _SQRT_HALF_PI * float(erfcx(a / math.sqrt(2.0)))
+        g = 1.0 - a * mills
+        log_g, ratio = math.log(g), mills / g
+    else:
+        t = 1.0 / (delta * delta)
+        p = 1.0 - t * (3.0 - t * (15.0 - t * (105.0 - 945.0 * t)))
+        log_g, ratio = math.log(p) - 2.0 * math.log(a), (1.0 - t * p) * a / p
+    return -0.5 * delta * delta - 0.5 * math.log(2.0 * math.pi) + log_g, ratio
 
 
 def log_ei(mean: float, sd: float, incumbent: float) -> float:
@@ -218,7 +199,9 @@ def log_ei(mean: float, sd: float, incumbent: float) -> float:
     """
     if sd < 0:
         raise InputError(f"sd must be >= 0, got {sd}")
-    return float(_log_ei_array(np.array([mean]), np.array([sd]), incumbent)[0])
+    if sd == 0.0:
+        return math.log(mean - incumbent) if mean > incumbent else LOG_EI_FLOOR
+    return math.log(sd) + _log_h((mean - incumbent) / sd)[0]
 
 
 @dataclass
@@ -269,6 +252,26 @@ def _surrogate_hp(lengthscale: float, noise_var: float) -> gpr.GprHyperparams:
     return gpr.GprHyperparams(mean_const=0.0, noise_var=noise_var, kernel=kern)
 
 
+def _grid_scores(
+    unit: np.ndarray, zvals: np.ndarray, lengthscales: np.ndarray, noises: np.ndarray
+) -> np.ndarray:
+    """Surrogate MLL of (m, d) unit points at each (lengthscale, noise) pair.
+
+    The distance matrix is computed once; each grid point then builds its
+    Matern-5/2 Gram from it and scores it with the Cholesky ladder of
+    :func:`gpr.fit`.  These are the floating-point operations of
+    ``gpr.mll(unit.T, zvals, _surrogate_hp(l, noise))``, so the scores
+    are bit-identical to it.
+    """
+    dist = np.sqrt(kernels._pairwise_sqdist(unit.T, unit.T))
+    scores = np.empty(lengthscales.shape[0])
+    for i, (lengthscale, noise_var) in enumerate(zip(lengthscales, noises)):
+        gram = kernels._matern_from_scaled(dist / lengthscale, 2.5)
+        chol, _, solve = gpr.factor_and_solve(gram, noise_var, zvals, "matern")
+        scores[i] = gpr.log_marginal(zvals, chol, solve)
+    return scores
+
+
 def fit_surrogate(trials: list[Trial], space: SearchSpace) -> Surrogate:
     """Fit the Matern-5/2 surrogate to the trials seen so far.
 
@@ -289,13 +292,7 @@ def fit_surrogate(trials: list[Trial], space: SearchSpace) -> Surrogate:
     unit = np.array([space.to_unit(t) for t in thetas])
     zvals = (values - value_mean) / value_sd
     lengthscales, noises = _surrogate_grid()
-    scores = np.array(
-        [
-            gpr.mll(unit.T, zvals, _surrogate_hp(float(l), float(nv)))
-            for l, nv in zip(lengthscales, noises)
-        ]
-    )
-    best = int(np.argmax(scores))
+    best = int(np.argmax(_grid_scores(unit, zvals, lengthscales, noises)))
     hp = _surrogate_hp(float(lengthscales[best]), float(noises[best]))
     model = gpr.fit(unit.T, zvals, hp)
     return Surrogate(
@@ -305,26 +302,58 @@ def fit_surrogate(trials: list[Trial], space: SearchSpace) -> Surrogate:
 
 
 def _acquisition_with_grad(surrogate: Surrogate, incumbent_std: float):
-    """Negated log-EI and its central finite-difference gradient on [0,1]^d.
+    """Negated log-EI on [0,1]^d and its exact gradient.
 
-    One batched posterior call covers the point and all 2d stencil
-    neighbours; stencil points are clipped to the cube and the divided
-    difference uses the actual clipped spacing.
+    Per proposal it keeps the training units x_i, the cached solve
+    alpha = (K + sn2 I)^-1 z and L^-1 (one triangular solve against I).
+    At a point u, with s_i = sqrt(5) |u - x_i| / l, the Matern-5/2
+    posterior and its gradient are
+
+        k_i = (1 + s_i + s_i^2 / 3) exp(-s_i)
+        grad k_i = -5 / (3 l^2) (1 + s_i) exp(-s_i) (u - x_i)
+        mean = k . alpha,      grad mean = sum_i alpha_i grad k_i
+        var = 1 - |L^-1 k|^2,  grad sd = -sum_i (K^-1 k)_i grad k_i / sd
+
+    and with delta = (mean - f*) / sd and h = delta Phi(delta) + phi(delta),
+
+        grad log EI = grad sd / sd + (Phi / h)(delta) (grad mean - delta grad sd) / sd.
+
+    log h and Phi / h come from the same formula as :func:`log_ei`.  A
+    clamped variance (sd = 0) leaves log(mean - f*), with gradient
+    grad mean / (mean - f*), or the floor with gradient 0.  The
+    prior-only surrogate is flat: its gradient is zero everywhere.
     """
+    model = surrogate.model
+    if model is None:
+        value = log_ei(0.0, 1.0, incumbent_std)
+        return lambda u: (-value, np.zeros(u.shape[0]))
+    train = model.X.T
+    alpha = model.solve_cache
+    chol_inv = solve_triangular(model.chol, np.eye(alpha.shape[0]), lower=True)
+    s_scale = 5.0 / model.hp.kernel.params["l_m"] ** 2
+    grad_scale = -s_scale / 3.0
 
     def fun(u: np.ndarray) -> tuple[float, np.ndarray]:
-        d = u.shape[0]
-        pts = np.tile(u, (2 * d + 1, 1))
-        for i in range(d):
-            pts[1 + 2 * i, i] = min(u[i] + _FD_STEP, 1.0)
-            pts[2 + 2 * i, i] = max(u[i] - _FD_STEP, 0.0)
-        means, sds = surrogate.posterior_unit(pts)
-        vals = _log_ei_array(means, sds, incumbent_std)
-        grad = np.zeros(d)
-        for i in range(d):
-            spacing = pts[1 + 2 * i, i] - pts[2 + 2 * i, i]
-            grad[i] = (vals[1 + 2 * i] - vals[2 + 2 * i]) / spacing
-        return -float(vals[0]), -grad
+        diff = u - train
+        s = np.sqrt(np.einsum("ij,ij->i", diff, diff) * s_scale)
+        e = np.exp(-s)
+        k = (1.0 + s + s * s / 3.0) * e
+        slope = (1.0 + s) * e  # grad k_i = grad_scale * slope_i * (u - x_i)
+        improvement = float(k @ alpha) - incumbent_std
+        half = chol_inv @ k
+        var = 1.0 - float(half @ half)
+        if var <= 0.0:
+            if improvement <= 0.0:
+                return -LOG_EI_FLOOR, np.zeros(u.shape[0])
+            grad = (grad_scale / improvement) * ((slope * alpha) @ diff)
+            return -math.log(improvement), -grad
+        sd = math.sqrt(var)
+        delta = improvement / sd
+        log_h, ratio = _log_h(delta)
+        # grad log EI = grad_scale / sd * sum_i slope_i weight_i (u - x_i)
+        weight = ratio * alpha - ((1.0 - ratio * delta) / sd) * (half @ chol_inv)
+        grad = (grad_scale / sd) * ((slope * weight) @ diff)
+        return -(math.log(sd) + log_h), -grad
 
     return fun
 
@@ -364,7 +393,7 @@ def propose_next(
             best_u = np.clip(result.x, 0.0, 1.0)
     if best_u is None:
         means, sds = surrogate.posterior_unit(starts)
-        vals = _log_ei_array(means, sds, incumbent_std)
+        vals = [log_ei(m, s, incumbent_std) for m, s in zip(means, sds)]
         best_u = starts[int(np.argmax(vals))]
     return space.from_unit(best_u)
 

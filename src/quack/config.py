@@ -13,6 +13,7 @@ import os
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
+from .kernels import KERNEL_KINDS, MATERN_NUS
 from .timeseries import GenSpec
 
 ENV_PREFIX = "QUACK_"
@@ -72,6 +73,28 @@ class ExperimentConfig:
             raise ConfigError("noise bounds must satisfy 0 <= noise_lo < noise_hi")
         if self.landscape_grid < 2:
             raise ConfigError(f"landscape_grid must be >= 2, got {self.landscape_grid}")
+        if self.kernel not in KERNEL_KINDS:
+            raise ConfigError(f"kernel must be one of {KERNEL_KINDS}, got {self.kernel!r}")
+        if self.matern_nu not in MATERN_NUS:
+            raise ConfigError(f"matern_nu must be one of {MATERN_NUS}, got {self.matern_nu}")
+        if not 0.0 <= self.landscape_alpha <= 1.0:
+            raise ConfigError(f"landscape.alpha must be in [0, 1], got {self.landscape_alpha}")
+        for w in self.ablate_qubits:
+            if not 1 <= w <= self.qubit_ceiling:
+                raise ConfigError(
+                    f"ablate.qubits entry {w} must be in [1, {self.qubit_ceiling}] "
+                    "(the qubit ceiling)"
+                )
+            if w <= self.ablate_train_overlap:
+                raise ConfigError(
+                    f"ablate.qubits entry {w} must exceed "
+                    f"ablate.train_overlap={self.ablate_train_overlap}"
+                )
+            if self.ablate_n_steps < 2 * w:
+                raise ConfigError(
+                    f"ablate.n_steps={self.ablate_n_steps} must be at least twice "
+                    f"ablate.qubits entry {w}"
+                )
 
 
 # key -> (target attribute path, parser)

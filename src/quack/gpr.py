@@ -118,29 +118,53 @@ def fit(X, y, hp: GprHyperparams, qubit_ceiling: int = qkernel.DEFAULT_QUBIT_CEI
     if y.shape[0] < 1:
         raise InputError("at least one training pair is required")
     gram = kernels.gram(hp.kernel, X, qubit_ceiling)
-    noisy = gram + hp.noise_var * np.eye(y.shape[0])
-    chol = None
-    jitter_used = JITTER_LADDER[-1]
-    for jitter in JITTER_LADDER:
-        try:
-            chol = cholesky(noisy + jitter * np.eye(y.shape[0]), lower=True)
-            jitter_used = jitter
-            break
-        except LinAlgError:
-            continue
-    if chol is None:
-        eigs = np.linalg.eigvalsh((noisy + noisy.T) / 2.0)
-        raise NumericalError(
-            "Cholesky failed after max jitter "
-            f"{JITTER_LADDER[-1]:g}: eigenvalue range [{eigs.min():.3e}, "
-            f"{eigs.max():.3e}] for kind={hp.kernel.kind}"
-        )
-    resid = y - hp.mean_const
-    solve_cache = cho_solve((chol, True), resid)
+    chol, jitter, solve_cache = factor_and_solve(
+        gram, hp.noise_var, y - hp.mean_const, hp.kernel.kind
+    )
     return FittedGpr(
         X=X, y=y, hp=hp, chol=chol, solve_cache=solve_cache,
-        jitter=jitter_used, qubit_ceiling=qubit_ceiling,
+        jitter=jitter, qubit_ceiling=qubit_ceiling,
     )
+
+
+def factor_and_solve(
+    gram: np.ndarray, noise_var: float, resid: np.ndarray, kind: str
+) -> tuple[np.ndarray, float, np.ndarray]:
+    """Climb the jitter ladder on gram + noise_var I and solve against resid.
+
+    Returns the lower Cholesky factor of gram + (noise_var + jitter) I at
+    the first rung that factors, that jitter, and the factor's solve
+    against ``resid``.  ``kind`` only names the kernel in the error.
+
+    Raises
+    ------
+    NumericalError
+        If Cholesky fails at every rung of the jitter ladder.
+    """
+    c = resid.shape[0]
+    noisy = gram + noise_var * np.eye(c)
+    for jitter in JITTER_LADDER:
+        try:
+            chol = cholesky(noisy + jitter * np.eye(c), lower=True)
+        except LinAlgError:
+            continue
+        return chol, jitter, cho_solve((chol, True), resid)
+    eigs = np.linalg.eigvalsh((noisy + noisy.T) / 2.0)
+    raise NumericalError(
+        "Cholesky failed after max jitter "
+        f"{JITTER_LADDER[-1]:g}: eigenvalue range [{eigs.min():.3e}, "
+        f"{eigs.max():.3e}] for kind={kind}"
+    )
+
+
+def log_marginal(resid: np.ndarray, chol: np.ndarray, solve: np.ndarray) -> float:
+    """log N(resid; 0, L L^T) from the factor L and the solve L^-T L^-1 resid.
+
+    The log-determinant is twice the sum of the log diagonal of L.
+    """
+    quad = float(resid @ solve)
+    logdet_half = float(np.sum(np.log(np.diag(chol))))
+    return -0.5 * quad - logdet_half - 0.5 * resid.shape[0] * _LOG_2PI
 
 
 def predict(model: FittedGpr, x_query) -> Posterior:
@@ -176,14 +200,6 @@ def predict_batch(model: FittedGpr, X_query) -> tuple[np.ndarray, np.ndarray]:
 
 
 def mll(X, y, hp: GprHyperparams, qubit_ceiling: int = qkernel.DEFAULT_QUBIT_CEILING) -> float:
-    """Marginal log likelihood log N(y; m 1, K + sn2 I).
-
-    Evaluated from the Cholesky factor: the log-determinant is twice the
-    sum of the log diagonal, the quadratic form reuses the cached solve.
-    """
+    """Marginal log likelihood log N(y; m 1, K + sn2 I), via :func:`fit`."""
     model = fit(X, y, hp, qubit_ceiling)
-    resid = model.y - hp.mean_const
-    quad = float(resid @ model.solve_cache)
-    logdet_half = float(np.sum(np.log(np.diag(model.chol))))
-    c = model.y.shape[0]
-    return -0.5 * quad - logdet_half - 0.5 * c * _LOG_2PI
+    return log_marginal(model.y - hp.mean_const, model.chol, model.solve_cache)

@@ -1,16 +1,20 @@
 """Tuner components: Sobol batches, (log) expected improvement, surrogate,
 acquisition maximization and the full loop."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm, qmc
 
-from quack import bayesopt
+from quack import bayesopt, gpr
 from quack.bayesopt import (
     LOG_EI_FLOOR,
     SearchSpace,
+    Surrogate,
     Trial,
     expected_improvement,
     fit_surrogate,
@@ -118,6 +122,15 @@ class TestLogEi:
             got = log_ei(delta, 1.0, 0.0)
             assert got == pytest.approx(ref, rel=1e-9)
 
+    def test_gradient_ratio_matches_extended_precision(self):
+        # Phi(delta) / h(delta) is the factor in the acquisition gradient.
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 60
+        for delta in (3.0, 0.0, -0.99, -1.0, -1.5, -5.0, -10.0, -29.9, -30.0, -50.0, -200.0):
+            d = mpmath.mpf(delta)
+            ref = float(mpmath.ncdf(d) / (d * mpmath.ncdf(d) + mpmath.npdf(d)))
+            assert bayesopt._log_h(delta)[1] == pytest.approx(ref, rel=1e-9)
+
     def test_no_underflow_far_out(self):
         value = log_ei(-30.0, 1.0, 0.0)
         assert np.isfinite(value) and value < -100.0
@@ -178,7 +191,115 @@ class TestSurrogate:
             fit_surrogate([Trial(np.zeros(3), 0.0, "sobol")], UNIT3)
 
 
+def _log_ei_at(surrogate, u, incumbent_std):
+    means, sds = surrogate.posterior_unit(u[None])
+    return log_ei(means[0], sds[0], incumbent_std)
+
+
+def _central_differences(surrogate, u, incumbent_std, step=1e-6):
+    grad = np.zeros(u.shape[0])
+    for i in range(u.shape[0]):
+        e = np.zeros(u.shape[0])
+        e[i] = step
+        grad[i] = (
+            _log_ei_at(surrogate, u + e, incumbent_std)
+            - _log_ei_at(surrogate, u - e, incumbent_std)
+        ) / (2.0 * step)
+    return grad
+
+
+_TRIALS = _quadratic_trials(UNIT3, n=30, seed=5)
+_SURROGATE = fit_surrogate(_TRIALS, UNIT3)
+
+
+class TestAnalyticAcquisition:
+    """The acquisition's value and gradient against log_ei at posterior_unit."""
+
+    def _check(self, surrogate, u, incumbent_std):
+        value, grad = bayesopt._acquisition_with_grad(surrogate, incumbent_std)(u)
+        ref = _log_ei_at(surrogate, u, incumbent_std)
+        assert abs(-value - ref) <= 1e-12 * max(1.0, abs(ref))
+        fd = _central_differences(surrogate, u, incumbent_std)
+        assert np.linalg.norm(-grad - fd) <= 1e-6 * np.linalg.norm(fd)
+
+    def _incumbent_for(self, surrogate, u, delta):
+        means, sds = surrogate.posterior_unit(u[None])
+        assert sds[0] > 0.0
+        return float(means[0] - delta * sds[0])
+
+    @pytest.mark.parametrize("delta", [2.0, 0.3, -0.9, -1.2, -5.0, -25.0, -31.0, -80.0])
+    def test_matches_central_differences(self, delta):
+        # delta > -1 is the direct branch, [-30, -1] the erfcx tail, below the series.
+        for u in (np.array([0.31, 0.62, 0.47]), np.array([0.9, 0.1, 0.75])):
+            self._check(_SURROGATE, u, self._incumbent_for(_SURROGATE, u, delta))
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        u=st.lists(st.floats(0.01, 0.99), min_size=3, max_size=3),
+        delta=st.floats(-60.0, 5.0),
+    )
+    def test_property_matches_central_differences(self, u, delta):
+        u = np.array(u)
+        self._check(_SURROGATE, u, self._incumbent_for(_SURROGATE, u, delta))
+
+    def test_clamped_variance_branch(self):
+        # Halving the factor makes |L^-1 k|^2 exceed 1 near the data, so the
+        # variance clamps on a whole neighbourhood, as rounding clamps it on
+        # ill-conditioned surrogates; log-EI is then log(mean - f*).
+        model = dataclasses.replace(_SURROGATE.model, chol=0.5 * _SURROGATE.model.chol)
+        clamped = dataclasses.replace(_SURROGATE, model=model)
+        u = UNIT3.to_unit(_TRIALS[0].theta)
+        means, sds = clamped.posterior_unit(u[None])
+        assert sds[0] == 0.0
+        self._check(clamped, u, float(means[0]) - 0.5)
+        value, grad = bayesopt._acquisition_with_grad(clamped, float(means[0]) + 0.5)(u)
+        assert value == -LOG_EI_FLOOR and not np.any(grad)
+
+    def test_prior_only_surrogate_is_flat(self):
+        flat = Surrogate(
+            space=UNIT3, value_mean=0.0, value_sd=1.0, model=None,
+            lengthscale=1.0, noise_var=1e-6,
+        )
+        value, grad = bayesopt._acquisition_with_grad(flat, 0.7)(np.array([0.2, 0.5, 0.9]))
+        assert value == -log_ei(0.0, 1.0, 0.7) and not np.any(grad)
+
+
+class TestSurrogateGrid:
+    @pytest.mark.parametrize("m", [25, 40, 49])
+    def test_scores_bit_identical_to_per_point_mll(self, m):
+        trials = _quadratic_trials(UNIT3, n=m, seed=m)
+        values = np.array([t.value for t in trials])
+        zvals = (values - values.mean()) / values.std()
+        unit = np.array([UNIT3.to_unit(t.theta) for t in trials])
+        lengthscales, noises = bayesopt._surrogate_grid()
+        per_point = np.array([
+            gpr.mll(unit.T, zvals, bayesopt._surrogate_hp(float(l), float(nv)))
+            for l, nv in zip(lengthscales, noises)
+        ])
+        scores = bayesopt._grid_scores(unit, zvals, lengthscales, noises)
+        assert np.array_equal(scores, per_point)
+
+
 class TestProposeNext:
+    def test_one_lbfgsb_run_per_restart(self, monkeypatch):
+        calls = []
+        real_minimize = bayesopt.minimize
+
+        def counting_minimize(*args, **kwargs):
+            calls.append(kwargs["options"]["maxiter"])
+            return real_minimize(*args, **kwargs)
+
+        monkeypatch.setattr(bayesopt, "minimize", counting_minimize)
+        propose_next(_SURROGATE, UNIT3, max(t.value for t in _TRIALS), restarts=5, seed=2)
+        assert calls == [100] * 5
+
+    def test_prior_only_surrogate_keeps_first_start(self):
+        trials = [Trial(theta=np.full(3, x), value=1.0, phase="sobol") for x in (0.2, 0.8)]
+        surrogate = fit_surrogate(trials, UNIT3)
+        proposal = propose_next(surrogate, UNIT3, 1.0, restarts=4, seed=3)
+        first = bayesopt._sobol_unit(3, 4, seed=3, scramble=True)[0]
+        assert np.array_equal(proposal, UNIT3.from_unit(first))
+
     def test_recovers_1d_quadratic_maximizer(self):
         space = SearchSpace(dims=(("a", 0.0, 1.0),))
         grid = np.linspace(0.0, 1.0, 101)

@@ -75,6 +75,28 @@ class TestConfig:
         code = cli.main(["--config", str(cfg_path), "--out", str(tmp_path), "tune"])
         assert code == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "text, command",
+        [
+            ("matern_nu = 1.0\n", "compare"),
+            ("kernel = spline\n", "tune"),
+            ("landscape.alpha = 1.5\n", "landscape"),
+            ("ablate.qubits = 0\n", "ablate"),
+            ("ablate.qubits = 5,30\n", "ablate"),
+            ("ablate.qubits = 4,5\n", "ablate"),  # 4 <= ablate.train_overlap
+            ("ablate.qubits = 5,9\nablate.n_steps = 17\n", "ablate"),
+        ],
+        ids=["matern_nu", "kernel", "landscape_alpha", "qubits_zero", "qubits_ceiling",
+             "qubits_overlap", "qubits_n_steps"],
+    )
+    def test_invalid_value_exits_before_tuning(self, tmp_path, text, command):
+        with pytest.raises(ConfigError):
+            load_config(_write_config(tmp_path, text), env={}).validate()
+        out = tmp_path / "out"
+        code = cli.main(["--config", str(tmp_path / "exp.cfg"), "--out", str(out), command])
+        assert code == cli.EXIT_CONFIG
+        assert not out.exists()
+
     def test_search_space_follows_kernel_bounds(self):
         cfg = ExperimentConfig()
         tail = (("noise_var", 0.0, 1.0), ("mean_const", -1.0, 1.0))
