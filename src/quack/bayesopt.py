@@ -13,7 +13,9 @@ to zero mean / unit variance; its own lengthscale and noise are picked by
 maximizing the surrogate marginal log likelihood over a fixed 128-point
 Sobol grid, which keeps the whole pipeline deterministic for a given
 seed.  All grid points share one distance matrix of the trials, so a
-grid point costs one Gram, one Cholesky factorization and one solve.
+grid point costs one Gram, one Cholesky factorization and one solve; the
+winner's factor and solve are the surrogate, with no refit, and the
+acquisition reads its posterior from them directly.
 
 The tune loop is inherently sequential; each proposal depends on all
 prior results.  Sobol-phase evaluations and restarts are independent and
@@ -111,12 +113,6 @@ class TuneTrace:
             self.incumbent_value = float(value)
             self.incumbent_theta = np.asarray(theta, dtype=float).copy()
 
-    def thetas(self) -> np.ndarray:
-        return np.array([t.theta for t in self.trials])
-
-    def values(self) -> np.ndarray:
-        return np.array([t.value for t in self.trials])
-
 
 def _sobol_unit(d: int, count: int, seed: int, scramble: bool) -> np.ndarray:
     """First ``count`` Sobol points after skipping the index-0 point.
@@ -206,27 +202,23 @@ def log_ei(mean: float, sd: float, incumbent: float) -> float:
 
 @dataclass
 class Surrogate:
-    """GP over the unit cube on standardized objective values.
+    """Matern-5/2 GP over the unit cube on standardized objective values.
 
-    ``model`` is None for the degenerate all-equal-values fallback, where
-    the posterior is the prior: zero mean, unit sd (standardized units).
+    It is the winner of the surrogate grid as scored: ``units`` holds the
+    trials' unit-cube points as rows, ``chol`` the lower Cholesky factor
+    of K + (noise_var + jitter) I and ``solve`` that factor's solve
+    against the standardized values.  All three are None for the
+    degenerate all-equal-values fallback, where the posterior is the
+    prior: zero mean, unit sd (standardized units).
     """
 
-    space: SearchSpace
     value_mean: float
     value_sd: float
-    model: gpr.FittedGpr | None
     lengthscale: float
     noise_var: float
-
-    def posterior_unit(self, unit_points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Mean and sd (standardized units) at rows of an (m, d) unit array."""
-        unit_points = np.atleast_2d(np.asarray(unit_points, dtype=float))
-        if self.model is None:
-            m = unit_points.shape[0]
-            return np.zeros(m), np.ones(m)
-        means, variances = gpr.predict_batch(self.model, unit_points.T)
-        return means, np.sqrt(variances)
+    units: np.ndarray | None = None
+    chol: np.ndarray | None = None
+    solve: np.ndarray | None = None
 
     def standardize_value(self, value: float) -> float:
         return (value - self.value_mean) / self.value_sd
@@ -243,40 +235,16 @@ def _surrogate_grid() -> tuple[np.ndarray, np.ndarray]:
     return lengthscales, noises
 
 
-def _surrogate_hp(lengthscale: float, noise_var: float) -> gpr.GprHyperparams:
-    kern = kernels.KernelModel(
-        kind="matern",
-        params={"nu": 2.5, "l_m": lengthscale},
-        bounds={"l_m": _SURROGATE_LENGTHSCALE_BOUNDS},
-    )
-    return gpr.GprHyperparams(mean_const=0.0, noise_var=noise_var, kernel=kern)
-
-
-def _grid_scores(
-    unit: np.ndarray, zvals: np.ndarray, lengthscales: np.ndarray, noises: np.ndarray
-) -> np.ndarray:
-    """Surrogate MLL of (m, d) unit points at each (lengthscale, noise) pair.
-
-    The distance matrix is computed once; each grid point then builds its
-    Matern-5/2 Gram from it and scores it with the Cholesky ladder of
-    :func:`gpr.fit`.  These are the floating-point operations of
-    ``gpr.mll(unit.T, zvals, _surrogate_hp(l, noise))``, so the scores
-    are bit-identical to it.
-    """
-    dist = np.sqrt(kernels._pairwise_sqdist(unit.T, unit.T))
-    scores = np.empty(lengthscales.shape[0])
-    for i, (lengthscale, noise_var) in enumerate(zip(lengthscales, noises)):
-        gram = kernels._matern_from_scaled(dist / lengthscale, 2.5)
-        chol, _, solve = gpr.factor_and_solve(gram, noise_var, zvals, "matern")
-        scores[i] = gpr.log_marginal(zvals, chol, solve)
-    return scores
-
-
 def fit_surrogate(trials: list[Trial], space: SearchSpace) -> Surrogate:
     """Fit the Matern-5/2 surrogate to the trials seen so far.
 
-    Requires at least two trials.  All-equal values (zero spread) fall
-    back to a prior-only surrogate with unit lengthscale.
+    Scores every point of the fixed grid by its marginal log likelihood
+    and keeps the first best one, with its factor and solve.  The
+    distance matrix of the trials is computed once; each grid point then
+    builds its Gram from it and climbs the Cholesky jitter ladder of
+    :func:`gpr.factor_and_solve`.  Requires at least two trials.
+    All-equal values (zero spread) fall back to a prior-only surrogate
+    with unit lengthscale.
     """
     if len(trials) < 2:
         raise InputError(f"surrogate needs >= 2 trials, got {len(trials)}")
@@ -286,18 +254,23 @@ def fit_surrogate(trials: list[Trial], space: SearchSpace) -> Surrogate:
     value_sd = float(values.std())
     if value_sd < 1e-12:
         return Surrogate(
-            space=space, value_mean=value_mean, value_sd=1.0,
-            model=None, lengthscale=1.0, noise_var=_SURROGATE_NOISE_BOUNDS[0],
+            value_mean=value_mean, value_sd=1.0,
+            lengthscale=1.0, noise_var=_SURROGATE_NOISE_BOUNDS[0],
         )
     unit = np.array([space.to_unit(t) for t in thetas])
     zvals = (values - value_mean) / value_sd
-    lengthscales, noises = _surrogate_grid()
-    best = int(np.argmax(_grid_scores(unit, zvals, lengthscales, noises)))
-    hp = _surrogate_hp(float(lengthscales[best]), float(noises[best]))
-    model = gpr.fit(unit.T, zvals, hp)
+    dist = np.sqrt(kernels._pairwise_sqdist(unit.T, unit.T))
+    best, best_score = None, -math.inf
+    for lengthscale, noise_var in zip(*_surrogate_grid()):
+        gram = kernels._matern_from_scaled(dist / lengthscale, 2.5)
+        chol, _, solve = gpr.factor_and_solve(gram, noise_var, zvals, "matern")
+        score = gpr.log_marginal(zvals, chol, solve)
+        if best is None or score > best_score:
+            best, best_score = (float(lengthscale), float(noise_var), chol, solve), score
+    lengthscale, noise_var, chol, solve = best
     return Surrogate(
-        space=space, value_mean=value_mean, value_sd=value_sd, model=model,
-        lengthscale=float(lengthscales[best]), noise_var=float(noises[best]),
+        value_mean=value_mean, value_sd=value_sd, lengthscale=lengthscale,
+        noise_var=noise_var, units=unit, chol=chol, solve=solve,
     )
 
 
@@ -323,14 +296,13 @@ def _acquisition_with_grad(surrogate: Surrogate, incumbent_std: float):
     grad mean / (mean - f*), or the floor with gradient 0.  The
     prior-only surrogate is flat: its gradient is zero everywhere.
     """
-    model = surrogate.model
-    if model is None:
+    if surrogate.chol is None:
         value = log_ei(0.0, 1.0, incumbent_std)
         return lambda u: (-value, np.zeros(u.shape[0]))
-    train = model.X.T
-    alpha = model.solve_cache
-    chol_inv = solve_triangular(model.chol, np.eye(alpha.shape[0]), lower=True)
-    s_scale = 5.0 / model.hp.kernel.params["l_m"] ** 2
+    train = surrogate.units
+    alpha = surrogate.solve
+    chol_inv = solve_triangular(surrogate.chol, np.eye(alpha.shape[0]), lower=True)
+    s_scale = 5.0 / surrogate.lengthscale**2
     grad_scale = -s_scale / 3.0
 
     def fun(u: np.ndarray) -> tuple[float, np.ndarray]:
@@ -369,8 +341,8 @@ def propose_next(
 
     Multi-start L-BFGS-B from a fresh scrambled Sobol batch; ties and the
     best endpoint resolve by first occurrence, so a fixed seed yields a
-    fixed proposal.  If every start fails outright, the best start point
-    by acquisition value is returned instead.
+    fixed proposal.  If every start fails outright, the first start point
+    with the best acquisition value is returned instead.
     """
     incumbent_std = surrogate.standardize_value(incumbent)
     starts = _sobol_unit(space.dim, restarts, seed=seed, scramble=True)
@@ -392,9 +364,7 @@ def propose_next(
             best_val = float(result.fun)
             best_u = np.clip(result.x, 0.0, 1.0)
     if best_u is None:
-        means, sds = surrogate.posterior_unit(starts)
-        vals = [log_ei(m, s, incumbent_std) for m, s in zip(means, sds)]
-        best_u = starts[int(np.argmax(vals))]
+        best_u = starts[int(np.argmin([objective(start)[0] for start in starts]))]
     return space.from_unit(best_u)
 
 

@@ -148,11 +148,14 @@ def _dispatch(args, cfg, out: Path) -> int:
     if args.command == "predict":
         series = experiments.build_series(cfg)
         kind = cfg.kernel
+        predict_dir = out / f"predict_{kind}"
         if args.tuned is not None:
             theta = _tuned_theta(args.tuned, kind, cfg)
+            result = experiments.run_predict(cfg, kind, theta, series, predict_dir)
         else:
-            theta = experiments.run_tune(cfg, kind, series, out / f"tune_{kind}").theta
-        result = experiments.run_predict(cfg, kind, theta, series, out / f"predict_{kind}")
+            _, result = experiments.tune_and_predict(
+                cfg, kind, series, out / f"tune_{kind}", predict_dir
+            )
         ev = result.evaluation
         print(
             f"{kind}: rmse {ev.rmse:.6f}  mae {ev.mae:.6f}  mcrps {ev.mcrps:.6f}  "

@@ -9,6 +9,7 @@ override file values: key ``gen.n_steps`` maps to ``QUACK_GEN_N_STEPS``
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -71,6 +72,8 @@ class ExperimentConfig:
             raise ConfigError("mean bounds must satisfy mean_lo < mean_hi")
         if self.noise_lo < 0 or not self.noise_lo < self.noise_hi:
             raise ConfigError("noise bounds must satisfy 0 <= noise_lo < noise_hi")
+        if self.gen.sine1_period == 0 or self.gen.sine2_period == 0:
+            raise ConfigError("gen.sine1_period and gen.sine2_period must be nonzero")
         if self.landscape_grid < 2:
             raise ConfigError(f"landscape_grid must be >= 2, got {self.landscape_grid}")
         if self.kernel not in KERNEL_KINDS:
@@ -107,8 +110,15 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
+def _parse_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("must be finite")
+    return value
+
+
 def _parse_optional_float(text: str) -> float | None:
-    return None if text.strip().lower() in ("auto", "none") else float(text)
+    return None if text.strip().lower() in ("auto", "none") else _parse_float(text)
 
 
 def _parse_int_tuple(text: str) -> tuple[int, ...]:
@@ -118,22 +128,22 @@ def _parse_int_tuple(text: str) -> tuple[int, ...]:
 _SCHEMA: dict[str, tuple[str, object]] = {
     "gen.n_steps": ("gen.n_steps", int),
     "gen.n_trend_changes": ("gen.n_trend_changes", int),
-    "gen.slope": ("gen.slope", float),
-    "gen.sine1_period": ("gen.sine1_period", float),
-    "gen.sine1_amplitude": ("gen.sine1_amplitude", float),
+    "gen.slope": ("gen.slope", _parse_float),
+    "gen.sine1_period": ("gen.sine1_period", _parse_float),
+    "gen.sine1_amplitude": ("gen.sine1_amplitude", _parse_float),
     "gen.sine2_period": ("gen.sine2_period", _parse_optional_float),
-    "gen.sine2_amplitude": ("gen.sine2_amplitude", float),
-    "gen.noise_sd": ("gen.noise_sd", float),
+    "gen.sine2_amplitude": ("gen.sine2_amplitude", _parse_float),
+    "gen.noise_sd": ("gen.noise_sd", _parse_float),
     "window": ("window", int),
     "train_overlap": ("train_overlap", int),
-    "train_frac": ("train_frac", float),
+    "train_frac": ("train_frac", _parse_float),
     "kernel": ("kernel", str),
-    "matern_nu": ("matern_nu", float),
+    "matern_nu": ("matern_nu", _parse_float),
     "matern_all": ("matern_all", _parse_bool),
-    "bounds.mean_lo": ("mean_lo", float),
-    "bounds.mean_hi": ("mean_hi", float),
-    "bounds.noise_lo": ("noise_lo", float),
-    "bounds.noise_hi": ("noise_hi", float),
+    "bounds.mean_lo": ("mean_lo", _parse_float),
+    "bounds.mean_hi": ("mean_hi", _parse_float),
+    "bounds.noise_lo": ("noise_lo", _parse_float),
+    "bounds.noise_hi": ("noise_hi", _parse_float),
     "n0": ("n0", int),
     "n_query": ("n_query", int),
     "restarts": ("restarts", int),
@@ -141,7 +151,7 @@ _SCHEMA: dict[str, tuple[str, object]] = {
     "seed_bo": ("seed_bo", int),
     "out_dir": ("out_dir", str),
     "qubit_ceiling": ("qubit_ceiling", int),
-    "landscape.alpha": ("landscape_alpha", float),
+    "landscape.alpha": ("landscape_alpha", _parse_float),
     "landscape.grid": ("landscape_grid", int),
     "ablate.n_steps": ("ablate_n_steps", int),
     "ablate.train_overlap": ("ablate_train_overlap", int),

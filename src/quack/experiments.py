@@ -221,6 +221,23 @@ def run_record(cfg: ExperimentConfig, result: PredictResult) -> dict:
     }
 
 
+def tune_and_predict(
+    cfg: ExperimentConfig,
+    kind: str,
+    series: timeseries.Series,
+    tune_dir: Path | None = None,
+    predict_dir: Path | None = None,
+    **overrides,
+) -> tuple[TuneResult, PredictResult]:
+    """:func:`run_tune`, then :func:`run_predict` at the tuned incumbent.
+
+    ``overrides`` (``window``, ``train_overlap``, ``matern_nu``) go to
+    both, so prediction uses the split and kernel that were tuned.
+    """
+    tuned = run_tune(cfg, kind, series, tune_dir, **overrides)
+    return tuned, run_predict(cfg, kind, tuned.theta, series, predict_dir, **overrides)
+
+
 @dataclass
 class CompareRow:
     kind: str
@@ -241,15 +258,20 @@ def run_compare(cfg: ExperimentConfig, out_dir: Path | None = None) -> list[Comp
     rows: list[CompareRow] = []
     for kind in COMPARE_KINDS:
         kind_dir = out_dir / kind if out_dir is not None else None
+        if kind == "matern" and cfg.matern_all:
+            runs = [
+                (nu, kind_dir / f"nu_{nu}" if kind_dir is not None else None)
+                for nu in kernels.MATERN_NUS
+            ]
+        else:
+            runs = [(cfg.matern_nu if kind == "matern" else None, kind_dir)]
         try:
-            if kind == "matern" and cfg.matern_all:
-                row = _best_matern(cfg, series, kind_dir)
-            else:
-                nu = cfg.matern_nu if kind == "matern" else None
-                tuned = run_tune(cfg, kind, series, kind_dir, matern_nu=nu)
-                pred = run_predict(cfg, kind, tuned.theta, series, kind_dir, matern_nu=nu)
-                row = CompareRow(kind=kind, evaluation=pred.evaluation, theta=tuned.theta,
-                                 matern_nu=nu)
+            row = None
+            for nu, sub in runs:
+                tuned, pred = tune_and_predict(cfg, kind, series, sub, sub, matern_nu=nu)
+                if row is None or pred.evaluation.ll_total > row.evaluation.ll_total:
+                    row = CompareRow(kind=kind, evaluation=pred.evaluation, theta=tuned.theta,
+                                     matern_nu=nu)
         except Exception as exc:  # noqa: BLE001 - per-kernel isolation is the contract
             row = CompareRow(kind=kind, evaluation=None, theta=None, error=str(exc))
         rows.append(row)
@@ -257,19 +279,6 @@ def run_compare(cfg: ExperimentConfig, out_dir: Path | None = None) -> list[Comp
         out_dir.mkdir(parents=True, exist_ok=True)
         _write_compare_tables(out_dir, rows)
     return rows
-
-
-def _best_matern(cfg: ExperimentConfig, series, kind_dir: Path | None) -> CompareRow:
-    best: CompareRow | None = None
-    for nu in kernels.MATERN_NUS:
-        sub = kind_dir / f"nu_{nu}" if kind_dir is not None else None
-        tuned = run_tune(cfg, "matern", series, sub, matern_nu=nu)
-        pred = run_predict(cfg, "matern", tuned.theta, series, sub, matern_nu=nu)
-        row = CompareRow(kind="matern", evaluation=pred.evaluation, theta=tuned.theta,
-                         matern_nu=nu)
-        if best is None or row.evaluation.ll_total > best.evaluation.ll_total:
-            best = row
-    return best
 
 
 def _write_compare_tables(out_dir: Path, rows: list[CompareRow]) -> None:
@@ -335,7 +344,7 @@ def landscape_grid(cfg: ExperimentConfig, alpha: float, series: timeseries.Serie
         grid_points[1, :] = ys.ravel()
     model = kernels.KernelModel(kind="iqp", params={"alpha": float(alpha)})
     reference = np.zeros((w, 1))
-    values = kernels.cross(model, reference, grid_points, cfg.qubit_ceiling)[0]
+    values = kernels.cross_and_diag(model, reference, grid_points, cfg.qubit_ceiling)[0][0]
     return axis, values.reshape(m, m)
 
 
@@ -373,12 +382,8 @@ def run_ablate(cfg: ExperimentConfig, out_dir: Path | None = None) -> list[Ablat
     for w in cfg.ablate_qubits:
         sub = out_dir / f"qubits_{w}" if out_dir is not None else None
         try:
-            tuned = run_tune(
-                cfg, "iqp", series, sub, window=w, train_overlap=cfg.ablate_train_overlap
-            )
-            pred = run_predict(
-                cfg, "iqp", tuned.theta, series, sub,
-                window=w, train_overlap=cfg.ablate_train_overlap,
+            tuned, pred = tune_and_predict(
+                cfg, "iqp", series, sub, sub, window=w, train_overlap=cfg.ablate_train_overlap
             )
             rows.append(AblateRow(
                 qubits=w, ll_total=pred.evaluation.ll_total,

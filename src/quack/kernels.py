@@ -6,14 +6,15 @@ All five are correlation kernels: value 1 at x = x2, no output-scale
 prefactor.  The periodic kernel divides by ``l_p`` (not ``l_p**2``),
 implemented literally as specified; it is a valid kernel either way.
 
-Hyperparameter boxes default to: lengthscales in [0.1, 30], rational
-quadratic weight in [0.1, 10], period in [5, 35], bandwidth in [0, 1].
+Hyperparameter boxes (``DEFAULT_BOUNDS``): lengthscales in [0.1, 30],
+rational quadratic weight in [0.1, 10], period in [5, 35], bandwidth in
+[0, 1].
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,32 +36,27 @@ DEFAULT_BOUNDS: dict[str, dict[str, tuple[float, float]]] = {
 
 @dataclass
 class KernelModel:
-    """A tagged kernel: kind, named parameters, per-parameter bounds.
+    """A tagged kernel: kind and named parameters.
 
-    ``bounds`` defaults to the boxes above; pass overrides to widen or
-    narrow individual parameters.  Construction validates that every
-    parameter lies inside its bounds and that a Matern ``nu`` is one of
-    {1/2, 3/2, 5/2}.
+    Construction validates that every parameter lies inside its box in
+    ``DEFAULT_BOUNDS`` and that a Matern ``nu`` is one of {1/2, 3/2, 5/2}.
     """
 
     kind: str
     params: dict[str, float]
-    bounds: dict[str, tuple[float, float]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.kind not in KERNEL_KINDS:
             raise ParameterError(f"unknown kernel kind {self.kind!r}")
-        merged = dict(DEFAULT_BOUNDS[self.kind])
-        merged.update(self.bounds)
-        self.bounds = merged
-        expected = set(DEFAULT_BOUNDS[self.kind])
+        bounds = DEFAULT_BOUNDS[self.kind]
+        expected = set(bounds)
         if set(self.params) != expected:
             raise ParameterError(
                 f"{self.kind} kernel expects parameters {sorted(expected)}, "
                 f"got {sorted(self.params)}"
             )
         for name, value in self.params.items():
-            lo, hi = self.bounds[name]
+            lo, hi = bounds[name]
             if not lo <= value <= hi:
                 raise ParameterError(
                     f"{self.kind} parameter {name}={value} outside [{lo}, {hi}]"
@@ -196,19 +192,11 @@ def _check_lengths(X, X2) -> tuple[np.ndarray, np.ndarray]:
     return X, X2
 
 
-def cross(model: KernelModel, X, X2, qubit_ceiling: int = qkernel.DEFAULT_QUBIT_CEILING) -> np.ndarray:
-    """Kernel matrix between columns of X (c) and X2 (c2); shape (c, c2)."""
-    X, X2 = _check_lengths(X, X2)
-    if model.kind == "iqp":
-        params = qkernel.IqpParams(alpha=model.params["alpha"], n=X.shape[0])
-        return qkernel.cross_gram(X, X2, params, qubit_ceiling)
-    return _classical_matrix(model, X, X2)
-
-
 def cross_and_diag(
     model: KernelModel, X, X2, qubit_ceiling: int = qkernel.DEFAULT_QUBIT_CEILING
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``cross(model, X, X2)`` and kappa(x, x) for each column of X2.
+    """Kernel matrix between columns of X (c) and X2 (c2), shape (c, c2),
+    and kappa(x, x) for each column of X2.
 
     Classical kernels are exactly 1 at zero distance; the fidelity kernel
     embeds each column of X2 once for both outputs and returns the

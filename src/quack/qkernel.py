@@ -34,9 +34,8 @@ into one preallocated (c, 2^n) array, building the sign matrix once per
 call and running the butterflies over blocks of whole rows of at most
 ``_BLOCK_AMPLITUDES`` amplitudes: a thousand windows at 5 qubits, one at
 16, so each transform stays in cache.  :func:`embed` is the one-column
-case.  :func:`cross_gram_and_diag`, and :func:`cross_gram` through it,
-embeds its query columns in chunks, so only one chunk of query states is
-live at a time.
+case.  :func:`cross_gram_and_diag` embeds its query columns in chunks, so
+only one chunk of query states is live at a time.
 
 Every floating-point operation is the one, in the same order, that an
 embedding done one window at a time performs, so results are bit-for-bit
@@ -309,17 +308,6 @@ def gram_matrix(
     gram[ju, iu] = gram[iu, ju]
     np.fill_diagonal(gram, 1.0)
     return gram
-
-
-def cross_gram(
-    X, X2, params: IqpParams, qubit_ceiling: int = DEFAULT_QUBIT_CEILING
-) -> np.ndarray:
-    """Fidelities between columns of X (c) and columns of X2 (c2); shape (c, c2).
-
-    The first output of :func:`cross_gram_and_diag`, so X2 is embedded in
-    chunks here too.
-    """
-    return cross_gram_and_diag(X, X2, params, qubit_ceiling)[0]
 
 
 def cross_gram_and_diag(

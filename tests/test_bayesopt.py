@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
+from scipy.optimize import OptimizeResult
 from scipy.stats import norm, qmc
 
 from quack import bayesopt, gpr
@@ -154,6 +156,23 @@ def _quadratic_trials(space, n=40, seed=0):
     return [Trial(theta=t, value=v, phase="sobol") for t, v in zip(thetas, values)]
 
 
+def _matern52(units, u, lengthscale):
+    """Matern-5/2 kernel between the rows of ``units`` and the point(s) ``u``."""
+    d = np.sqrt(np.sum((units - u) ** 2, axis=-1)) / lengthscale
+    return (1.0 + math.sqrt(5.0) * d + 5.0 * d * d / 3.0) * np.exp(-math.sqrt(5.0) * d)
+
+
+def _posterior(surrogate, u):
+    """Reference mean and sd at a unit point, by the operations of a GP
+    posterior: k from the kernel formula, mean k . solve, variance
+    1 - |L^-1 k|^2 (clamped at 0); the prior for a prior-only surrogate."""
+    if surrogate.chol is None:
+        return 0.0, 1.0
+    k = _matern52(surrogate.units, u, surrogate.lengthscale)
+    half = solve_triangular(surrogate.chol, k, lower=True)
+    return float(k @ surrogate.solve), math.sqrt(max(1.0 - float(half @ half), 0.0))
+
+
 class TestSurrogate:
     def test_degenerate_values_fall_back(self):
         trials = [
@@ -161,17 +180,15 @@ class TestSurrogate:
             Trial(theta=np.array([0.8, 0.8, 0.8]), value=1.0, phase="sobol"),
         ]
         surrogate = fit_surrogate(trials, UNIT3)
-        assert surrogate.model is None
+        assert surrogate.units is None and surrogate.chol is None and surrogate.solve is None
         assert surrogate.lengthscale == 1.0
-        means, sds = surrogate.posterior_unit(np.array([[0.5, 0.5, 0.5]]))
-        assert means[0] == 0.0 and sds[0] == 1.0
 
     def test_posterior_mean_interpolates_trials(self):
         trials = _quadratic_trials(UNIT3, n=30)
         surrogate = fit_surrogate(trials, UNIT3)
         noise_sd = math.sqrt(surrogate.noise_var)
         units = np.array([UNIT3.to_unit(t.theta) for t in trials])
-        means, _ = surrogate.posterior_unit(units)
+        means = np.array([_posterior(surrogate, u)[0] for u in units])
         zvals = (np.array([t.value for t in trials]) - surrogate.value_mean) / surrogate.value_sd
         assert np.abs(means - zvals).max() <= 3.0 * noise_sd
 
@@ -183,8 +200,7 @@ class TestSurrogate:
             Trial(theta=np.array([0.0, 10.0]), value=0.5, phase="sobol"),
         ]
         surrogate = fit_surrogate(trials, space)
-        unit = surrogate.model.X.T
-        assert np.all(unit >= 0.0) and np.all(unit <= 1.0)
+        assert np.all(surrogate.units >= 0.0) and np.all(surrogate.units <= 1.0)
 
     def test_needs_two_trials(self):
         with pytest.raises(InputError):
@@ -192,8 +208,7 @@ class TestSurrogate:
 
 
 def _log_ei_at(surrogate, u, incumbent_std):
-    means, sds = surrogate.posterior_unit(u[None])
-    return log_ei(means[0], sds[0], incumbent_std)
+    return log_ei(*_posterior(surrogate, u), incumbent_std)
 
 
 def _central_differences(surrogate, u, incumbent_std, step=1e-6):
@@ -213,7 +228,7 @@ _SURROGATE = fit_surrogate(_TRIALS, UNIT3)
 
 
 class TestAnalyticAcquisition:
-    """The acquisition's value and gradient against log_ei at posterior_unit."""
+    """The acquisition's value and gradient against log_ei at the reference posterior."""
 
     def _check(self, surrogate, u, incumbent_std):
         value, grad = bayesopt._acquisition_with_grad(surrogate, incumbent_std)(u)
@@ -223,9 +238,9 @@ class TestAnalyticAcquisition:
         assert np.linalg.norm(-grad - fd) <= 1e-6 * np.linalg.norm(fd)
 
     def _incumbent_for(self, surrogate, u, delta):
-        means, sds = surrogate.posterior_unit(u[None])
-        assert sds[0] > 0.0
-        return float(means[0] - delta * sds[0])
+        mean, sd = _posterior(surrogate, u)
+        assert sd > 0.0
+        return mean - delta * sd
 
     @pytest.mark.parametrize("delta", [2.0, 0.3, -0.9, -1.2, -5.0, -25.0, -31.0, -80.0])
     def test_matches_central_differences(self, delta):
@@ -246,38 +261,48 @@ class TestAnalyticAcquisition:
         # Halving the factor makes |L^-1 k|^2 exceed 1 near the data, so the
         # variance clamps on a whole neighbourhood, as rounding clamps it on
         # ill-conditioned surrogates; log-EI is then log(mean - f*).
-        model = dataclasses.replace(_SURROGATE.model, chol=0.5 * _SURROGATE.model.chol)
-        clamped = dataclasses.replace(_SURROGATE, model=model)
+        clamped = dataclasses.replace(_SURROGATE, chol=0.5 * _SURROGATE.chol)
         u = UNIT3.to_unit(_TRIALS[0].theta)
-        means, sds = clamped.posterior_unit(u[None])
-        assert sds[0] == 0.0
-        self._check(clamped, u, float(means[0]) - 0.5)
-        value, grad = bayesopt._acquisition_with_grad(clamped, float(means[0]) + 0.5)(u)
+        mean, sd = _posterior(clamped, u)
+        assert sd == 0.0
+        self._check(clamped, u, mean - 0.5)
+        value, grad = bayesopt._acquisition_with_grad(clamped, mean + 0.5)(u)
         assert value == -LOG_EI_FLOOR and not np.any(grad)
 
     def test_prior_only_surrogate_is_flat(self):
-        flat = Surrogate(
-            space=UNIT3, value_mean=0.0, value_sd=1.0, model=None,
-            lengthscale=1.0, noise_var=1e-6,
-        )
+        flat = Surrogate(value_mean=0.0, value_sd=1.0, lengthscale=1.0, noise_var=1e-6)
         value, grad = bayesopt._acquisition_with_grad(flat, 0.7)(np.array([0.2, 0.5, 0.9]))
         assert value == -log_ei(0.0, 1.0, 0.7) and not np.any(grad)
 
 
+def _close(a, b, tol=1e-8):
+    return np.all(np.abs(a - b) <= tol * np.maximum(1.0, np.abs(b)))
+
+
 class TestSurrogateGrid:
     @pytest.mark.parametrize("m", [25, 40, 49])
-    def test_scores_bit_identical_to_per_point_mll(self, m):
+    def test_winner_matches_direct_inversion(self, m):
+        # Per grid point: the regularized Gram from the kernel formula and
+        # its MLL by a dense solve and slogdet, with no Cholesky factor.
         trials = _quadratic_trials(UNIT3, n=m, seed=m)
         values = np.array([t.value for t in trials])
         zvals = (values - values.mean()) / values.std()
         unit = np.array([UNIT3.to_unit(t.theta) for t in trials])
         lengthscales, noises = bayesopt._surrogate_grid()
-        per_point = np.array([
-            gpr.mll(unit.T, zvals, bayesopt._surrogate_hp(float(l), float(nv)))
-            for l, nv in zip(lengthscales, noises)
-        ])
-        scores = bayesopt._grid_scores(unit, zvals, lengthscales, noises)
-        assert np.array_equal(scores, per_point)
+        regularized, mlls = [], []
+        for l, nv in zip(lengthscales, noises):
+            a = _matern52(unit[:, None, :], unit[None, :, :], l)
+            a += (nv + gpr.JITTER_LADDER[0]) * np.eye(m)
+            sign, logdet = np.linalg.slogdet(a)
+            assert sign > 0
+            quad = float(zvals @ np.linalg.solve(a, zvals))
+            regularized.append(a)
+            mlls.append(-0.5 * quad - 0.5 * logdet - 0.5 * m * math.log(2.0 * math.pi))
+        best = int(np.argmax(mlls))
+        surrogate = fit_surrogate(trials, UNIT3)
+        assert (surrogate.lengthscale, surrogate.noise_var) == (lengthscales[best], noises[best])
+        assert _close(surrogate.chol @ surrogate.chol.T, regularized[best])
+        assert _close(regularized[best] @ surrogate.solve, zvals)
 
 
 class TestProposeNext:
@@ -292,6 +317,21 @@ class TestProposeNext:
         monkeypatch.setattr(bayesopt, "minimize", counting_minimize)
         propose_next(_SURROGATE, UNIT3, max(t.value for t in _TRIALS), restarts=5, seed=2)
         assert calls == [100] * 5
+
+    @pytest.mark.parametrize("failure", ["raises", "non_finite"])
+    def test_all_starts_failed_takes_best_start(self, monkeypatch, failure):
+        def failing_minimize(fun, x0, **kwargs):
+            if failure == "raises":
+                raise ValueError("synthetic failure")
+            return OptimizeResult(x=x0, fun=math.nan)
+
+        monkeypatch.setattr(bayesopt, "minimize", failing_minimize)
+        incumbent = max(t.value for t in _TRIALS)
+        proposal = propose_next(_SURROGATE, UNIT3, incumbent, restarts=8, seed=4)
+        starts = bayesopt._sobol_unit(3, 8, seed=4, scramble=True)
+        incumbent_std = _SURROGATE.standardize_value(incumbent)
+        reference = [_log_ei_at(_SURROGATE, start, incumbent_std) for start in starts]
+        assert np.array_equal(proposal, UNIT3.from_unit(starts[int(np.argmax(reference))]))
 
     def test_prior_only_surrogate_keeps_first_start(self):
         trials = [Trial(theta=np.full(3, x), value=1.0, phase="sobol") for x in (0.2, 0.8)]

@@ -97,6 +97,27 @@ class TestConfig:
         assert code == cli.EXIT_CONFIG
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("QUACK_BOUNDS_MEAN_HI", "inf"),
+            ("QUACK_BOUNDS_NOISE_HI", "inf"),
+            ("QUACK_GEN_SLOPE", "nan"),
+            ("QUACK_GEN_NOISE_SD", "inf"),
+            ("QUACK_GEN_SINE1_PERIOD", "0"),
+            ("QUACK_GEN_SINE2_PERIOD", "0"),
+        ],
+        ids=["mean_hi_inf", "noise_hi_inf", "slope_nan", "noise_sd_inf", "sine1_period_zero",
+             "sine2_period_zero"],
+    )
+    def test_degenerate_float_exits_before_compare(self, tmp_path, monkeypatch, name, value):
+        monkeypatch.setenv(name, value)
+        with pytest.raises(ConfigError):
+            load_config().validate()
+        out = tmp_path / "out"
+        assert cli.main(["--out", str(out), "compare"]) == cli.EXIT_CONFIG
+        assert not out.exists()
+
     def test_search_space_follows_kernel_bounds(self):
         cfg = ExperimentConfig()
         tail = (("noise_var", 0.0, 1.0), ("mean_const", -1.0, 1.0))

@@ -7,7 +7,6 @@ from quack import qkernel
 from quack.errors import InputError, ResourceError
 from quack.qkernel import (
     IqpParams,
-    cross_gram,
     diagonal_phases,
     embed,
     embed_columns,
@@ -237,7 +236,7 @@ class TestGramMatrix:
         X = rng.normal(size=(3, 4))
         X2 = rng.normal(size=(3, 6))
         params = IqpParams(0.5, 3)
-        cg = cross_gram(X, X2, params)
+        cg, _ = qkernel.cross_gram_and_diag(X, X2, params)
         assert cg.shape == (4, 6)
         for i in range(4):
             for j in range(6):
@@ -251,7 +250,7 @@ class TestGramMatrix:
         x = rng.normal(size=14)
         X2 = rng.normal(size=(14, 17))
         params = IqpParams(0.5, 14)
-        cg = cross_gram(x[:, None], X2, params)
+        cg, _ = qkernel.cross_gram_and_diag(x[:, None], X2, params)
         assert cg.shape == (1, 17)
         for j in range(17):
             assert cg[0, j] == pytest.approx(kernel(x, X2[:, j], params), abs=1e-12)
