@@ -392,7 +392,7 @@ class TraceWriter:
 
 
 def _restart_seed(seed: int, step: int) -> int:
-    return abs(seed) * 1_000_003 + step + 1
+    return seed * 1_000_003 + step + 1
 
 
 def tune(

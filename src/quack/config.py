@@ -64,6 +64,10 @@ class ExperimentConfig:
             raise ConfigError(f"n0={self.n0} and n_query={self.n_query} must be >= 1")
         if self.restarts < 1:
             raise ConfigError(f"restarts must be >= 1, got {self.restarts}")
+        if self.seed_data < 0 or self.seed_bo < 0:
+            raise ConfigError(
+                f"seed_data={self.seed_data} and seed_bo={self.seed_bo} must be >= 0"
+            )
         if self.window > self.qubit_ceiling:
             raise ConfigError(
                 f"window={self.window} exceeds qubit ceiling {self.qubit_ceiling}"
@@ -82,6 +86,12 @@ class ExperimentConfig:
             raise ConfigError(f"matern_nu must be one of {MATERN_NUS}, got {self.matern_nu}")
         if not 0.0 <= self.landscape_alpha <= 1.0:
             raise ConfigError(f"landscape.alpha must be in [0, 1], got {self.landscape_alpha}")
+        if not self.ablate_qubits:
+            raise ConfigError("ablate.qubits must list at least one window length")
+        if len(set(self.ablate_qubits)) != len(self.ablate_qubits):
+            raise ConfigError(
+                f"ablate.qubits lists a window length twice: {list(self.ablate_qubits)}"
+            )
         for w in self.ablate_qubits:
             if not 1 <= w <= self.qubit_ceiling:
                 raise ConfigError(

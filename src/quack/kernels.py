@@ -3,8 +3,15 @@
 Four classical kernels (RBF, Matern, rational quadratic, periodic) share
 one interface with the quantum fidelity kernel from :mod:`quack.qkernel`.
 All five are correlation kernels: value 1 at x = x2, no output-scale
-prefactor.  The periodic kernel divides by ``l_p`` (not ``l_p**2``),
-implemented literally as specified; it is a valid kernel either way.
+prefactor.  With ``d`` the Euclidean distance between two windows:
+
+* RBF: ``exp(-d^2 / (2 l_r^2))``;
+* Matern: the closed forms at ``nu`` in {1/2, 3/2, 5/2} of ``d / l_m``;
+* rational quadratic: ``(1 + d^2 / (2 beta l_q^2))^(-beta)``;
+* periodic: ``exp(-2 sum_i sin^2(pi (x_i - x2_i) / p) / l_p)``.
+
+The periodic kernel divides by ``l_p`` (not ``l_p**2``), implemented
+literally as specified; it is a valid kernel either way.
 
 Hyperparameter boxes (``DEFAULT_BOUNDS``): lengthscales in [0.1, 30],
 rational quadratic weight in [0.1, 10], period in [5, 35], bandwidth in
@@ -67,38 +74,6 @@ class KernelModel:
             )
 
 
-def _check_pair(x, x2) -> tuple[np.ndarray, np.ndarray]:
-    x = np.asarray(x, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    if x.shape != x2.shape or x.ndim != 1:
-        raise InputError(f"incompatible input shapes {x.shape} and {x2.shape}")
-    return x, x2
-
-
-def rbf(x, x2, l_r: float) -> float:
-    """exp(-||x - x2||^2 / (2 l_r^2))."""
-    if l_r <= 0:
-        raise ParameterError(f"rbf lengthscale must be positive, got {l_r}")
-    x, x2 = _check_pair(x, x2)
-    d2 = float(np.sum((x - x2) ** 2))
-    return math.exp(-d2 / (2.0 * l_r * l_r))
-
-
-def matern(x, x2, nu: float, l_m: float) -> float:
-    """Matern kernel at nu in {1/2, 3/2, 5/2} via its closed forms.
-
-    d is the Euclidean distance scaled by the lengthscale.  The closed
-    forms avoid Bessel evaluation and are exact at d = 0.
-    """
-    if l_m <= 0:
-        raise ParameterError(f"matern lengthscale must be positive, got {l_m}")
-    if nu not in MATERN_NUS:
-        raise ParameterError(f"matern nu must be one of {MATERN_NUS}, got {nu}")
-    x, x2 = _check_pair(x, x2)
-    d = float(np.linalg.norm(x - x2)) / l_m
-    return float(_matern_from_scaled(np.asarray(d), nu))
-
-
 def _matern_from_scaled(d: np.ndarray, nu: float) -> np.ndarray:
     """Vectorized Matern closed forms on pre-scaled distances d = ||x-x2||/l."""
     if nu == 0.5:
@@ -108,41 +83,6 @@ def _matern_from_scaled(d: np.ndarray, nu: float) -> np.ndarray:
         return (1.0 + s) * np.exp(-s)
     s = math.sqrt(5.0) * d
     return (1.0 + s + 5.0 * d * d / 3.0) * np.exp(-s)
-
-
-def rq(x, x2, beta: float, l_q: float) -> float:
-    """(1 + ||x - x2||^2 / (2 beta l_q^2))^(-beta)."""
-    if beta <= 0 or l_q <= 0:
-        raise ParameterError(f"rq parameters must be positive, got beta={beta}, l_q={l_q}")
-    x, x2 = _check_pair(x, x2)
-    d2 = float(np.sum((x - x2) ** 2))
-    return (1.0 + d2 / (2.0 * beta * l_q * l_q)) ** (-beta)
-
-
-def periodic(x, x2, p: float, l_p: float) -> float:
-    """exp(-2 sum_i sin^2(pi (x_i - x2_i) / p) / l_p)."""
-    if p <= 0 or l_p <= 0:
-        raise ParameterError(f"periodic parameters must be positive, got p={p}, l_p={l_p}")
-    x, x2 = _check_pair(x, x2)
-    s = float(np.sum(np.sin(math.pi * (x - x2) / p) ** 2))
-    return math.exp(-2.0 * s / l_p)
-
-
-def evaluate(model: KernelModel, x, x2, qubit_ceiling: int = qkernel.DEFAULT_QUBIT_CEILING) -> float:
-    """Evaluate any kernel kind on a pair of windows."""
-    p = model.params
-    if model.kind == "iqp":
-        x = np.asarray(x, dtype=float)
-        return qkernel.kernel(
-            x, x2, qkernel.IqpParams(alpha=p["alpha"], n=x.shape[0]), qubit_ceiling
-        )
-    if model.kind == "rbf":
-        return rbf(x, x2, p["l_r"])
-    if model.kind == "matern":
-        return matern(x, x2, p["nu"], p["l_m"])
-    if model.kind == "rq":
-        return rq(x, x2, p["beta"], p["l_q"])
-    return periodic(x, x2, p["p"], p["l_p"])
 
 
 def _pairwise_sqdist(X: np.ndarray, X2: np.ndarray) -> np.ndarray:

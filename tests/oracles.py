@@ -1,0 +1,98 @@
+"""Reference kernels the tests compare quack against.
+
+Each is written from the model's formulas, one pair of windows at a time,
+and shares no code with quack's vectorized paths: the IQP state comes from
+dense 2^n x 2^n matrices, the classical kernels from their scalar
+definitions.  They are slow and meant for small inputs only.
+"""
+
+import math
+
+import numpy as np
+
+from quack.qkernel import IqpParams
+
+
+def embed_dense(x, params) -> np.ndarray:
+    """IQP statevector via dense 2^n x 2^n matrices.
+
+    Builds the full Hadamard matrix as an n-fold Kronecker product, the
+    diagonal phase matrix from a naive double loop over qubit pairs, and
+    multiplies the four layers onto |0...0>.  Qubit ``j`` owns bit ``j`` of
+    the amplitude index (little-endian), as in quack.
+    """
+    x = np.asarray(x, dtype=float)
+    n = params.n
+    size = 2**n
+    h1 = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    hn = np.array([[1.0]])
+    for _ in range(n):
+        # qubit 1 innermost so that bit 0 varies fastest
+        hn = np.kron(h1, hn)
+    phases = np.zeros(size)
+    for b in range(size):
+        z = [1.0 - 2.0 * ((b >> j) & 1) for j in range(n)]
+        linear = sum(x[j] * z[j] for j in range(n))
+        pairwise = 0.0
+        for j in range(n):
+            for jp in range(j):
+                pairwise += x[j] * x[jp] * z[j] * z[jp]
+        phases[b] = params.alpha * linear + params.alpha**2 * pairwise
+    diag = np.diag(np.exp(1j * phases))
+    unitary = diag @ hn @ diag @ hn
+    start = np.zeros(size, dtype=complex)
+    start[0] = 1.0
+    return unitary @ start
+
+
+def kernel(x, x2, params) -> float:
+    """IQP fidelity |<phi(x)|phi(x2)>|^2 of the dense statevectors."""
+    return float(abs(np.vdot(embed_dense(x, params), embed_dense(x2, params))) ** 2)
+
+
+def _distance2(x, x2) -> float:
+    return float(np.sum((np.asarray(x, dtype=float) - np.asarray(x2, dtype=float)) ** 2))
+
+
+def rbf(x, x2, l_r: float) -> float:
+    """exp(-||x - x2||^2 / (2 l_r^2))."""
+    return math.exp(-_distance2(x, x2) / (2.0 * l_r * l_r))
+
+
+def matern(x, x2, nu: float, l_m: float) -> float:
+    """Matern kernel at nu in {1/2, 3/2, 5/2}, from its closed forms."""
+    d = math.sqrt(_distance2(x, x2)) / l_m
+    if nu == 0.5:
+        return math.exp(-d)
+    if nu == 1.5:
+        return (1.0 + math.sqrt(3.0) * d) * math.exp(-math.sqrt(3.0) * d)
+    if nu == 2.5:
+        return (1.0 + math.sqrt(5.0) * d + 5.0 * d * d / 3.0) * math.exp(-math.sqrt(5.0) * d)
+    raise ValueError(f"no closed form for nu={nu}")
+
+
+def rq(x, x2, beta: float, l_q: float) -> float:
+    """(1 + ||x - x2||^2 / (2 beta l_q^2))^(-beta)."""
+    return (1.0 + _distance2(x, x2) / (2.0 * beta * l_q * l_q)) ** (-beta)
+
+
+def periodic(x, x2, p: float, l_p: float) -> float:
+    """exp(-2 sum_i sin^2(pi (x_i - x2_i) / p) / l_p)."""
+    diff = np.asarray(x, dtype=float) - np.asarray(x2, dtype=float)
+    return math.exp(-2.0 * float(np.sum(np.sin(math.pi * diff / p) ** 2)) / l_p)
+
+
+def evaluate(model, x, x2) -> float:
+    """Any kernel kind of a ``KernelModel`` on one pair of windows."""
+    p = model.params
+    if model.kind == "iqp":
+        return kernel(x, x2, IqpParams(alpha=p["alpha"], n=len(x)))
+    if model.kind == "rbf":
+        return rbf(x, x2, p["l_r"])
+    if model.kind == "matern":
+        return matern(x, x2, p["nu"], p["l_m"])
+    if model.kind == "rq":
+        return rq(x, x2, p["beta"], p["l_q"])
+    if model.kind == "periodic":
+        return periodic(x, x2, p["p"], p["l_p"])
+    raise ValueError(f"unknown kernel kind {model.kind!r}")

@@ -85,9 +85,11 @@ class TestConfig:
             ("ablate.qubits = 5,30\n", "ablate"),
             ("ablate.qubits = 4,5\n", "ablate"),  # 4 <= ablate.train_overlap
             ("ablate.qubits = 5,9\nablate.n_steps = 17\n", "ablate"),
+            ("ablate.qubits = 5,5\n", "ablate"),
+            ("ablate.qubits =\n", "ablate"),
         ],
         ids=["matern_nu", "kernel", "landscape_alpha", "qubits_zero", "qubits_ceiling",
-             "qubits_overlap", "qubits_n_steps"],
+             "qubits_overlap", "qubits_n_steps", "qubits_duplicate", "qubits_empty"],
     )
     def test_invalid_value_exits_before_tuning(self, tmp_path, text, command):
         with pytest.raises(ConfigError):
@@ -95,6 +97,25 @@ class TestConfig:
         out = tmp_path / "out"
         code = cli.main(["--config", str(tmp_path / "exp.cfg"), "--out", str(out), command])
         assert code == cli.EXIT_CONFIG
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, env, command",
+        [
+            (["--seed-bo", "-1"], {}, "tune"),
+            (["--seed-data", "-1"], {}, "generate"),
+            ([], {"QUACK_SEED_DATA": "-3"}, "generate"),
+        ],
+        ids=["seed_bo_flag", "seed_data_flag", "seed_data_env"],
+    )
+    def test_negative_seed_exits_before_output(self, tmp_path, monkeypatch, capsys, flags, env,
+                                               command):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        out = tmp_path / "out"
+        assert cli.main(["--out", str(out), *flags, command]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -7,14 +7,18 @@ Every file under either directory is compared with its namesake under the
 other.  JSON files are compared without their top-level ``timings``
 object, and ``trace.csv`` files without the last field of each line (the
 timestamp); all other files byte for byte.  Prints each differing or
-unmatched file and a summary line.  Exits 0 when no file differs, 1
-otherwise.  Standard library only.
+unmatched file and a summary line.  For a differing CSV or JSON file whose
+fields line up with its namesake's (same layout, and every field that is
+not a finite number equal) it also prints the largest absolute and
+relative deviation of the numbers, relative to the old value.  Exits 0
+when no file differs, 1 otherwise.  Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -36,6 +40,62 @@ def comparable(path: Path) -> bytes:
     return data
 
 
+def _parse(text: str):
+    """A CSV field as a float when it is a finite number, else the text."""
+    try:
+        value = float(text)
+    except ValueError:
+        return text
+    return value if math.isfinite(value) else text
+
+
+def _leaves(value, key: str = ""):
+    """A JSON value's leaves in document order, each after its key path."""
+    if isinstance(value, dict):
+        for name, item in value.items():
+            yield from _leaves(item, f"{key}/{name}")
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from _leaves(item, f"{key}/{index}")
+    else:
+        yield key
+        finite = isinstance(value, (int, float)) and not isinstance(value, bool)
+        yield float(value) if finite and math.isfinite(value) else json.dumps(value)
+
+
+def fields(path: Path) -> list | None:
+    """The comparable part of a CSV or JSON file as floats and text, else None."""
+    data = comparable(path)
+    if path.suffix == ".json":
+        try:
+            return list(_leaves(json.loads(data)))
+        except ValueError:
+            return None
+    if path.suffix == ".csv":
+        return [_parse(f) for line in data.decode().splitlines() for f in [*line.split(","), "\n"]]
+    return None
+
+
+def deviation(old: Path, new: Path) -> tuple[float, float] | None:
+    """Largest absolute and relative deviation of two files' numbers.
+
+    None unless both are CSV or JSON files whose fields line up.
+    """
+    a, b = fields(old), fields(new)
+    if a is None or b is None or len(a) != len(b):
+        return None
+    max_abs = max_rel = 0.0
+    for x, y in zip(a, b):
+        if isinstance(x, float) and isinstance(y, float):
+            gap = abs(y - x)
+            max_abs = max(max_abs, gap)
+            if gap:
+                max_rel = max(max_rel, gap / abs(x) if x else math.inf)
+        elif x != y:
+            return None
+    return max_abs, max_rel
+
+
 def diff_trees(old: Path, new: Path) -> tuple[list[str], int]:
     """Relative paths that differ (with the reason) and the number of paths seen."""
     names = sorted(
@@ -50,7 +110,9 @@ def diff_trees(old: Path, new: Path) -> tuple[list[str], int]:
         elif not b.is_file():
             differing.append(f"{name}: only in {old}")
         elif comparable(a) != comparable(b):
-            differing.append(f"{name}: differs")
+            dev = deviation(a, b)
+            detail = "" if dev is None else f" (max abs {dev[0]:.3g}, max rel {dev[1]:.3g})"
+            differing.append(f"{name}: differs{detail}")
     return differing, len(names)
 
 
