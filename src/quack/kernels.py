@@ -3,15 +3,8 @@
 Four classical kernels (RBF, Matern, rational quadratic, periodic) share
 one interface with the quantum fidelity kernel from :mod:`quack.qkernel`.
 All five are correlation kernels: value 1 at x = x2, no output-scale
-prefactor.  With ``d`` the Euclidean distance between two windows:
-
-* RBF: ``exp(-d^2 / (2 l_r^2))``;
-* Matern: the closed forms at ``nu`` in {1/2, 3/2, 5/2} of ``d / l_m``;
-* rational quadratic: ``(1 + d^2 / (2 beta l_q^2))^(-beta)``;
-* periodic: ``exp(-2 sum_i sin^2(pi (x_i - x2_i) / p) / l_p)``.
-
-The periodic kernel divides by ``l_p`` (not ``l_p**2``), implemented
-literally as specified; it is a valid kernel either way.
+prefactor.  The periodic kernel divides by ``l_p`` (not ``l_p**2``),
+implemented literally as specified; it is a valid kernel either way.
 
 Hyperparameter boxes (``DEFAULT_BOUNDS``): lengthscales in [0.1, 30],
 rational quadratic weight in [0.1, 10], period in [5, 35], bandwidth in

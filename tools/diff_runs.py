@@ -41,7 +41,7 @@ def comparable(path: Path) -> bytes:
 
 
 def _parse(text: str):
-    """A CSV field as a float when it is a finite number, else the text."""
+    """A field as a float when it is a finite number, else the text."""
     try:
         value = float(text)
     except ValueError:
@@ -59,8 +59,7 @@ def _leaves(value, key: str = ""):
             yield from _leaves(item, f"{key}/{index}")
     else:
         yield key
-        finite = isinstance(value, (int, float)) and not isinstance(value, bool)
-        yield float(value) if finite and math.isfinite(value) else json.dumps(value)
+        yield _parse(json.dumps(value))
 
 
 def fields(path: Path) -> list | None:
