@@ -2,8 +2,8 @@
 time-series forecasting, with classical baseline kernels, a gradient-free
 Bayesian-optimization tuner and a benchmark CLI."""
 
-from .bayesopt import SearchSpace, TuneTrace, expected_improvement, log_ei, sobol_init, tune
-from .gpr import FittedGpr, GprHyperparams, Posterior, fit, mll, predict, predict_batch
+from .bayesopt import SearchSpace, TuneTrace, log_ei, sobol_init, tune
+from .gpr import FittedGpr, GprHyperparams, fit, mll, predict_batch
 from .kernels import KernelModel
 from .metrics import Evaluation, crps_normal, evaluate_forecast
 from .qkernel import IqpParams
@@ -14,16 +14,13 @@ __version__ = "0.1.0"
 __all__ = [
     "SearchSpace",
     "TuneTrace",
-    "expected_improvement",
     "log_ei",
     "sobol_init",
     "tune",
     "FittedGpr",
     "GprHyperparams",
-    "Posterior",
     "fit",
     "mll",
-    "predict",
     "predict_batch",
     "KernelModel",
     "Evaluation",

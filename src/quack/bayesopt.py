@@ -37,8 +37,6 @@ from scipy.stats import qmc
 from . import gpr, kernels
 from .errors import ConfigError, InputError
 
-MAX_SOBOL_DIM = 16
-
 # Finite stand-in for log(0) when expected improvement is exactly zero.
 LOG_EI_FLOOR = -1.0e300
 
@@ -87,10 +85,6 @@ class SearchSpace:
         u = (np.asarray(theta) - self.lower) / (self.upper - self.lower)
         return np.clip(u, 0.0, 1.0)
 
-    def contains(self, theta) -> bool:
-        theta = np.asarray(theta)
-        return bool(np.all(theta >= self.lower) and np.all(theta <= self.upper))
-
 
 @dataclass
 class Trial:
@@ -135,26 +129,8 @@ def sobol_init(space: SearchSpace, n0: int, seed: int) -> np.ndarray:
     """
     if n0 < 1:
         raise InputError(f"n0 must be >= 1, got {n0}")
-    if space.dim > MAX_SOBOL_DIM:
-        raise ConfigError(
-            f"search space has {space.dim} dimensions; direction numbers are "
-            f"configured up to {MAX_SOBOL_DIM}"
-        )
     unit = _sobol_unit(space.dim, n0, seed=seed, scramble=seed != 0)
     return space.from_unit(unit)
-
-
-def expected_improvement(mean: float, sd: float, incumbent: float) -> float:
-    """E[max(0, g - incumbent)] for g ~ N(mean, sd^2); >= 0.
-
-    At sd = 0 this degenerates to max(0, mean - incumbent).
-    """
-    if sd < 0:
-        raise InputError(f"sd must be >= 0, got {sd}")
-    if sd == 0.0:
-        return max(0.0, mean - incumbent)
-    delta = (mean - incumbent) / sd
-    return sd * (delta * float(ndtr(delta)) + _INV_SQRT_2PI * math.exp(-0.5 * delta * delta))
 
 
 def _log_h(delta: float) -> tuple[float, float]:
@@ -186,7 +162,8 @@ def _log_h(delta: float) -> tuple[float, float]:
 
 
 def log_ei(mean: float, sd: float, incumbent: float) -> float:
-    """Numerically stable log of :func:`expected_improvement`.
+    """Numerically stable log of the expected improvement E[max(0, g - incumbent)]
+    for g ~ N(mean, sd^2), which degenerates to max(0, mean - incumbent) at sd = 0.
 
     Monotone in EI (same argmax).  Uses the direct logarithm where the
     standardized improvement exceeds -1 and a tail formulation below,

@@ -73,8 +73,8 @@ def _out_dir(args, cfg) -> Path:
     return args.out if args.out is not None else Path(cfg.out_dir)
 
 
-def _tuned_theta(path: Path, kind: str, cfg) -> dict:
-    """The ``theta`` of a tune run's tuned.json, checked against the kind's box."""
+def _tuned_theta(path: Path, cfg) -> dict:
+    """The ``theta`` of a tune run's tuned.json, checked against ``cfg.kernel``'s box."""
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
@@ -83,12 +83,13 @@ def _tuned_theta(path: Path, kind: str, cfg) -> dict:
         raise ConfigError(f"tuned file {path} is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict) or not isinstance(payload.get("theta"), dict):
         raise ConfigError(f"tuned file {path} has no 'theta' object")
+    kind = cfg.kernel
     if payload.get("kind") not in (None, kind):
         raise ConfigError(
             f"tuned file is for kernel {payload.get('kind')!r}, expected {kind!r}"
         )
     theta = payload["theta"]
-    names = experiments.search_space_for(kind, cfg).names
+    names = experiments.search_space_for(cfg).names
     if set(theta) != set(names):
         raise ConfigError(
             f"tuned file {path} has theta names {sorted(theta)}, "
@@ -139,7 +140,7 @@ def _dispatch(args, cfg, out: Path) -> int:
     if args.command == "tune":
         series = experiments.build_series(cfg)
         kind = cfg.kernel
-        result = experiments.run_tune(cfg, kind, series, out / f"tune_{kind}")
+        result = experiments.run_tune(cfg, series, out / f"tune_{kind}")
         print(f"tuned {kind}: value {result.incumbent_value:.6f}")
         for name, value in result.theta.items():
             print(f"  {name} = {value:.6f}")
@@ -150,12 +151,10 @@ def _dispatch(args, cfg, out: Path) -> int:
         kind = cfg.kernel
         predict_dir = out / f"predict_{kind}"
         if args.tuned is not None:
-            theta = _tuned_theta(args.tuned, kind, cfg)
-            result = experiments.run_predict(cfg, kind, theta, series, predict_dir)
+            theta = _tuned_theta(args.tuned, cfg)
+            result = experiments.run_predict(cfg, theta, series, predict_dir)
         else:
-            _, result = experiments.tune_and_predict(
-                cfg, kind, series, out / f"tune_{kind}", predict_dir
-            )
+            _, result = experiments.tune_and_predict(cfg, series, out / f"tune_{kind}", predict_dir)
         ev = result.evaluation
         print(
             f"{kind}: rmse {ev.rmse:.6f}  mae {ev.mae:.6f}  mcrps {ev.mcrps:.6f}  "

@@ -169,6 +169,13 @@ _SCHEMA: dict[str, tuple[str, object]] = {
 }
 
 
+def _locate(cfg: ExperimentConfig, path: str) -> tuple[object, str]:
+    """The object holding a schema path's attribute, and its name:
+    ``gen.n_steps`` is ``(cfg.gen, "n_steps")``, ``window`` ``(cfg, "window")``."""
+    holder_name, _, attr = path.rpartition(".")
+    return (getattr(cfg, holder_name) if holder_name else cfg), attr
+
+
 def _assign(cfg: ExperimentConfig, key: str, raw: str, origin: str) -> None:
     if key not in _SCHEMA:
         raise ConfigError(f"{origin}: unknown config key {key!r}")
@@ -177,11 +184,7 @@ def _assign(cfg: ExperimentConfig, key: str, raw: str, origin: str) -> None:
         value = parser(raw)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{origin}: bad value for {key!r}: {raw!r} ({exc})") from exc
-    if "." in path:
-        holder_name, attr = path.split(".", 1)
-        setattr(getattr(cfg, holder_name), attr, value)
-    else:
-        setattr(cfg, path, value)
+    setattr(*_locate(cfg, path), value)
     # gen.seed follows seed_data unless the generator seed was set directly
     if key == "seed_data":
         cfg.gen.seed = value
@@ -221,11 +224,7 @@ def snapshot(cfg: ExperimentConfig) -> dict:
     """Flat, JSON-serializable view of every config key."""
     out: dict[str, object] = {}
     for key, (path, _) in _SCHEMA.items():
-        if "." in path:
-            holder_name, attr = path.split(".", 1)
-            value = getattr(getattr(cfg, holder_name), attr)
-        else:
-            value = getattr(cfg, path)
+        value = getattr(*_locate(cfg, path))
         if isinstance(value, tuple):
             value = list(value)
         out[key] = value
@@ -238,11 +237,7 @@ def describe_schema() -> str:
     cfg = ExperimentConfig()
     lines = []
     for key, (path, _) in sorted(_SCHEMA.items()):
-        if "." in path:
-            holder_name, attr = path.split(".", 1)
-            default = getattr(getattr(cfg, holder_name), attr)
-        else:
-            default = getattr(cfg, path)
+        default = getattr(*_locate(cfg, path))
         lines.append(f"{key} (default {default!r}, env {_env_name(key)})")
     return "\n".join(lines)
 

@@ -24,9 +24,6 @@ from .errors import ConfigError
 # Two-sided 97.5% standard normal quantile for the 95% band.
 Z95 = 1.959964
 
-COMPARE_KINDS = ("iqp", "rbf", "matern", "rq", "periodic")
-
-
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
@@ -39,12 +36,13 @@ def build_series(cfg: ExperimentConfig, n_steps: int | None = None) -> timeserie
     return timeseries.standardize(timeseries.generate(gen))
 
 
-def search_space_for(kind: str, cfg: ExperimentConfig) -> bayesopt.SearchSpace:
-    """Tuning box per kernel kind: kernel parameters, then noise, then mean.
+def search_space_for(cfg: ExperimentConfig) -> bayesopt.SearchSpace:
+    """Tuning box of ``cfg.kernel``: kernel parameters, then noise, then mean.
 
     Kernel dimensions follow ``kernels.DEFAULT_BOUNDS``; Matern ``nu`` is
     discrete and fixed per run, so it is not tuned.
     """
+    kind = cfg.kernel
     if kind not in kernels.DEFAULT_BOUNDS:
         raise ConfigError(f"unknown kernel kind {kind!r}")
     kernel_dims = [
@@ -58,16 +56,15 @@ def search_space_for(kind: str, cfg: ExperimentConfig) -> bayesopt.SearchSpace:
 
 
 def hyperparams_from_theta(
-    kind: str, names: tuple[str, ...], theta, cfg: ExperimentConfig,
-    matern_nu: float | None = None,
+    names: tuple[str, ...], theta, cfg: ExperimentConfig
 ) -> gpr.GprHyperparams:
-    """Unpack a tuner point into GP hyperparameters for the given kind."""
+    """Unpack a tuner point into GP hyperparameters for ``cfg.kernel``."""
     values = dict(zip(names, np.asarray(theta, dtype=float)))
     noise_var = values.pop("noise_var")
     mean_const = values.pop("mean_const")
-    if kind == "matern":
-        values["nu"] = cfg.matern_nu if matern_nu is None else matern_nu
-    model = kernels.KernelModel(kind=kind, params={k: float(v) for k, v in values.items()})
+    if cfg.kernel == "matern":
+        values["nu"] = cfg.matern_nu
+    model = kernels.KernelModel(kind=cfg.kernel, params={k: float(v) for k, v in values.items()})
     return gpr.GprHyperparams(mean_const=float(mean_const), noise_var=float(noise_var), kernel=model)
 
 
@@ -82,22 +79,14 @@ class TuneResult:
 
 
 def run_tune(
-    cfg: ExperimentConfig,
-    kind: str,
-    series: timeseries.Series,
-    out_dir: Path | None = None,
-    window: int | None = None,
-    train_overlap: int | None = None,
-    matern_nu: float | None = None,
+    cfg: ExperimentConfig, series: timeseries.Series, out_dir: Path | None = None
 ) -> TuneResult:
-    """Maximize the training MLL over the kind's hyperparameter box."""
-    w = cfg.window if window is None else window
-    overlap = cfg.train_overlap if train_overlap is None else train_overlap
-    train, _ = timeseries.split(series, w, cfg.train_frac, overlap)
-    space = search_space_for(kind, cfg)
+    """Maximize the training MLL over the hyperparameter box of ``cfg.kernel``."""
+    train, _ = timeseries.split(series, cfg.window, cfg.train_frac, cfg.train_overlap)
+    space = search_space_for(cfg)
 
     def objective(theta):
-        hp = hyperparams_from_theta(kind, space.names, theta, cfg, matern_nu)
+        hp = hyperparams_from_theta(space.names, theta, cfg)
         return gpr.mll(train.X, train.y, hp, cfg.qubit_ceiling)
 
     trace_path = None
@@ -112,12 +101,12 @@ def run_tune(
     seconds = time.perf_counter() - started
     theta = {name: float(v) for name, v in zip(space.names, trace.incumbent_theta)}
     result = TuneResult(
-        kind=kind, theta=theta, incumbent_value=trace.incumbent_value,
+        kind=cfg.kernel, theta=theta, incumbent_value=trace.incumbent_value,
         trace=trace, trace_path=trace_path, seconds=seconds,
     )
     if out_dir is not None:
         payload = {
-            "kind": kind,
+            "kind": cfg.kernel,
             "theta": theta,
             "incumbent_value": trace.incumbent_value,
             "n0": cfg.n0,
@@ -144,21 +133,15 @@ class PredictResult:
 
 def run_predict(
     cfg: ExperimentConfig,
-    kind: str,
     theta: dict[str, float],
     series: timeseries.Series,
     out_dir: Path | None = None,
-    window: int | None = None,
-    train_overlap: int | None = None,
-    matern_nu: float | None = None,
 ) -> PredictResult:
     """Fit on the training windows and walk the test range at stride 1."""
-    w = cfg.window if window is None else window
-    overlap = cfg.train_overlap if train_overlap is None else train_overlap
-    train, test = timeseries.split(series, w, cfg.train_frac, overlap)
-    space = search_space_for(kind, cfg)
+    train, test = timeseries.split(series, cfg.window, cfg.train_frac, cfg.train_overlap)
+    space = search_space_for(cfg)
     theta_vec = np.array([theta[name] for name in space.names])
-    hp = hyperparams_from_theta(kind, space.names, theta_vec, cfg, matern_nu)
+    hp = hyperparams_from_theta(space.names, theta_vec, cfg)
     started = time.perf_counter()
     model = gpr.fit(train.X, train.y, hp, cfg.qubit_ceiling)
     means, var_latent = gpr.predict_batch(model, test.X)
@@ -166,8 +149,8 @@ def run_predict(
     var_predictive = var_latent + hp.noise_var
     evaluation = metrics.evaluate_forecast(means, var_predictive, test.y)
     result = PredictResult(
-        kind=kind, theta=dict(theta),
-        target_indices=test.starts + w + 1,
+        kind=cfg.kernel, theta=dict(theta),
+        target_indices=test.starts + cfg.window + 1,
         targets=test.y, means=means,
         var_latent=var_latent, var_predictive=var_predictive,
         evaluation=evaluation, seconds=seconds,
@@ -223,19 +206,13 @@ def run_record(cfg: ExperimentConfig, result: PredictResult) -> dict:
 
 def tune_and_predict(
     cfg: ExperimentConfig,
-    kind: str,
     series: timeseries.Series,
     tune_dir: Path | None = None,
     predict_dir: Path | None = None,
-    **overrides,
 ) -> tuple[TuneResult, PredictResult]:
-    """:func:`run_tune`, then :func:`run_predict` at the tuned incumbent.
-
-    ``overrides`` (``window``, ``train_overlap``, ``matern_nu``) go to
-    both, so prediction uses the split and kernel that were tuned.
-    """
-    tuned = run_tune(cfg, kind, series, tune_dir, **overrides)
-    return tuned, run_predict(cfg, kind, tuned.theta, series, predict_dir, **overrides)
+    """:func:`run_tune`, then :func:`run_predict` at the tuned incumbent."""
+    tuned = run_tune(cfg, series, tune_dir)
+    return tuned, run_predict(cfg, tuned.theta, series, predict_dir)
 
 
 @dataclass
@@ -250,26 +227,30 @@ class CompareRow:
 def run_compare(cfg: ExperimentConfig, out_dir: Path | None = None) -> list[CompareRow]:
     """Tune, predict and evaluate every kernel on the same series and split.
 
-    A kernel that fails is recorded with its error and the run continues.
-    With ``matern_all`` the three Matern smoothness values are tuned
-    separately and the best by test log likelihood is reported.
+    Each run gets its own config, ``cfg`` with that run's kernel and
+    Matern ``nu``.  A kernel that fails is recorded with its error and the
+    run continues.  With ``matern_all`` the three Matern smoothness values
+    are tuned separately and the best by test log likelihood is reported.
     """
     series = build_series(cfg)
     rows: list[CompareRow] = []
-    for kind in COMPARE_KINDS:
+    for kind in kernels.KERNEL_KINDS:
         kind_dir = out_dir / kind if out_dir is not None else None
+        run_cfg = dataclasses.replace(cfg, kernel=kind)
         if kind == "matern" and cfg.matern_all:
             runs = [
-                (nu, kind_dir / f"nu_{nu}" if kind_dir is not None else None)
+                (dataclasses.replace(run_cfg, matern_nu=nu),
+                 kind_dir / f"nu_{nu}" if kind_dir is not None else None)
                 for nu in kernels.MATERN_NUS
             ]
         else:
-            runs = [(cfg.matern_nu if kind == "matern" else None, kind_dir)]
+            runs = [(run_cfg, kind_dir)]
         try:
             row = None
-            for nu, sub in runs:
-                tuned, pred = tune_and_predict(cfg, kind, series, sub, sub, matern_nu=nu)
+            for sub_cfg, sub in runs:
+                tuned, pred = tune_and_predict(sub_cfg, series, sub, sub)
                 if row is None or pred.evaluation.ll_total > row.evaluation.ll_total:
+                    nu = sub_cfg.matern_nu if kind == "matern" else None
                     row = CompareRow(kind=kind, evaluation=pred.evaluation, theta=tuned.theta,
                                      matern_nu=nu)
         except Exception as exc:  # noqa: BLE001 - per-kernel isolation is the contract
@@ -374,17 +355,21 @@ def run_ablate(cfg: ExperimentConfig, out_dir: Path | None = None) -> list[Ablat
     """Retune and re-predict the quantum model at each window length.
 
     Uses the ablation profile: longer series and wider window overlap so
-    the larger windows keep enough training pairs.  Per-size failures
+    the larger windows keep enough training pairs.  Each size runs from
+    its own config, ``cfg`` with the IQP kernel, that window, the
+    ablation overlap and the ablation series length.  Per-size failures
     are recorded and the sweep continues.
     """
-    series = build_series(cfg, n_steps=cfg.ablate_n_steps)
+    base = dataclasses.replace(
+        cfg, kernel="iqp", train_overlap=cfg.ablate_train_overlap,
+        gen=dataclasses.replace(cfg.gen, n_steps=cfg.ablate_n_steps),
+    )
+    series = build_series(base)
     rows: list[AblateRow] = []
     for w in cfg.ablate_qubits:
         sub = out_dir / f"qubits_{w}" if out_dir is not None else None
         try:
-            tuned, pred = tune_and_predict(
-                cfg, "iqp", series, sub, sub, window=w, train_overlap=cfg.ablate_train_overlap
-            )
+            tuned, pred = tune_and_predict(dataclasses.replace(base, window=w), series, sub, sub)
             rows.append(AblateRow(
                 qubits=w, ll_total=pred.evaluation.ll_total,
                 mae=pred.evaluation.mae, theta=tuned.theta,

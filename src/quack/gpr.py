@@ -14,12 +14,11 @@ with a constant-mean prior.
 A jitter ladder 1e-10 / 1e-8 / 1e-6 / 1e-4 is added to the diagonal until
 the factorization succeeds; fidelity Gram matrices are PSD but can be
 numerically semi-definite (bandwidth -> 0 gives the rank-one all-ones
-matrix).  Posterior variances are clamped at zero, counting clamps in a
-module-level tally rather than raising: the subtraction above can go
-negative by rounding.
+matrix).  Posterior variances are clamped at zero rather than raising:
+the subtraction above can go negative by rounding.
 
 fit() is single-threaded over the factorization; the fitted model is
-immutable afterwards and safe to share, and predict() is pure.
+immutable afterwards and safe to share, and predict_batch() is pure.
 """
 
 from __future__ import annotations
@@ -37,18 +36,6 @@ JITTER_LADDER = (1e-10, 1e-8, 1e-6, 1e-4)
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
-_clamp_count = 0
-
-
-def variance_clamp_count() -> int:
-    """Number of posterior variances clamped to zero since the last reset."""
-    return _clamp_count
-
-
-def reset_variance_clamp_count() -> None:
-    global _clamp_count
-    _clamp_count = 0
-
 
 @dataclass
 class GprHyperparams:
@@ -63,14 +50,6 @@ class GprHyperparams:
             raise ParameterError(f"mean constant must be finite, got {self.mean_const}")
         if not np.isfinite(self.noise_var) or self.noise_var < 0:
             raise ParameterError(f"noise variance must be >= 0, got {self.noise_var}")
-
-
-@dataclass
-class Posterior:
-    """Predictive mean and (nonnegative) variance at one query window."""
-
-    mean: float
-    var: float
 
 
 @dataclass
@@ -167,20 +146,11 @@ def log_marginal(resid: np.ndarray, chol: np.ndarray, solve: np.ndarray) -> floa
     return -0.5 * quad - logdet_half - 0.5 * resid.shape[0] * _LOG_2PI
 
 
-def predict(model: FittedGpr, x_query) -> Posterior:
-    """Posterior of the latent function at one query window."""
-    x_query = np.asarray(x_query, dtype=float)
-    if x_query.shape != (model.X.shape[0],):
-        raise InputError(
-            f"query shape {x_query.shape} does not match window length {model.X.shape[0]}"
-        )
-    means, variances = predict_batch(model, x_query[:, None])
-    return Posterior(mean=float(means[0]), var=float(variances[0]))
-
-
 def predict_batch(model: FittedGpr, X_query) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior means and variances at each column of X_query."""
-    global _clamp_count
+    """Posterior means and latent variances at each column of X_query.
+
+    A variance that rounds below zero is returned as exactly 0.0.
+    """
     X_query = np.asarray(X_query, dtype=float)
     if X_query.ndim != 2 or X_query.shape[0] != model.X.shape[0]:
         raise InputError(
@@ -193,9 +163,7 @@ def predict_batch(model: FittedGpr, X_query) -> tuple[np.ndarray, np.ndarray]:
     means = model.hp.mean_const + kmat.T @ model.solve_cache
     half = solve_triangular(model.chol, kmat, lower=True)
     variances = kappa - np.sum(half * half, axis=0)
-    negative = variances < 0.0
-    _clamp_count += int(np.count_nonzero(negative))
-    variances[negative] = 0.0
+    variances[variances < 0.0] = 0.0
     return means, variances
 
 

@@ -25,9 +25,9 @@ the combined ``2^-n`` normalization to a single exact scaling at the end.
 It embeds the c columns of a (w, c) design into one preallocated
 (c, 2^n) array and runs the butterflies over blocks of whole rows of at
 most ``_BLOCK_AMPLITUDES`` amplitudes: a thousand windows at 5 qubits, one
-at 16, so each transform stays in cache.  :func:`embed` is the one-column
-case.  :func:`cross_gram_and_diag` embeds its query columns in chunks, so
-only one chunk of query states is live at a time.
+at 16, so each transform stays in cache.  :func:`cross_gram_and_diag`
+embeds its query columns in chunks, so only one chunk of query states is
+live at a time.
 
 What is exact and what is not:
 
@@ -220,18 +220,6 @@ def _embed(X: np.ndarray, alpha: float, qubit_ceiling: int) -> np.ndarray:
         block *= phase
         block *= 2.0 ** (-n)
     return states
-
-
-def embed(x, params: IqpParams, qubit_ceiling: int = DEFAULT_QUBIT_CEILING) -> np.ndarray:
-    """Statevector of one window: :func:`embed_columns` on a single column.
-
-    Returns
-    -------
-    numpy.ndarray, complex, shape (2^n,)
-        Unit-norm amplitudes, little-endian basis order.
-    """
-    x = _as_window(x, params.n)
-    return _embed(x[:, None], params.alpha, qubit_ceiling)[0]
 
 
 def gram_matrix(

@@ -1,9 +1,10 @@
-"""Reference kernels the tests compare quack against.
+"""Reference implementations the tests compare quack against.
 
 Each is written from the model's formulas, one pair of windows at a time,
 and shares no code with quack's vectorized paths: the IQP state comes from
 dense 2^n x 2^n matrices, the classical kernels from their scalar
-definitions.  They are slow and meant for small inputs only.
+definitions, the expected improvement from its closed form.  They are
+slow and meant for small inputs only.
 """
 
 import math
@@ -96,3 +97,18 @@ def evaluate(model, x, x2) -> float:
     if model.kind == "periodic":
         return periodic(x, x2, p["p"], p["l_p"])
     raise ValueError(f"unknown kernel kind {model.kind!r}")
+
+
+def expected_improvement(mean: float, sd: float, incumbent: float) -> float:
+    """E[max(0, g - incumbent)] for g ~ N(mean, sd^2), the closed form
+
+        sd * (delta Phi(delta) + phi(delta)),  delta = (mean - incumbent) / sd,
+
+    and max(0, mean - incumbent) at sd = 0.  The reference for log-EI.
+    """
+    if sd == 0.0:
+        return max(0.0, mean - incumbent)
+    delta = (mean - incumbent) / sd
+    cdf = 0.5 * math.erfc(-delta / math.sqrt(2.0))
+    pdf = math.exp(-0.5 * delta * delta) / math.sqrt(2.0 * math.pi)
+    return sd * (delta * cdf + pdf)

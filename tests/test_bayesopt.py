@@ -12,13 +12,13 @@ from scipy.linalg import solve_triangular
 from scipy.optimize import OptimizeResult
 from scipy.stats import norm, qmc
 
+from oracles import expected_improvement
 from quack import bayesopt, gpr
 from quack.bayesopt import (
     LOG_EI_FLOOR,
     SearchSpace,
     Surrogate,
     Trial,
-    expected_improvement,
     fit_surrogate,
     log_ei,
     propose_next,
@@ -65,13 +65,10 @@ class TestSobolInit:
         ]
         assert sobol_disc < np.mean(random_discs)
 
-    def test_dimension_cap(self):
-        big = SearchSpace(dims=tuple((f"d{i}", 0.0, 1.0) for i in range(17)))
-        with pytest.raises(ConfigError):
-            sobol_init(big, 4, seed=0)
-
 
 class TestExpectedImprovement:
+    """The closed-form oracle that :class:`TestLogEi` checks log-EI against."""
+
     def test_zero_sd_at_incumbent(self):
         assert expected_improvement(1.0, 0.0, 1.0) == 0.0
 
@@ -102,8 +99,9 @@ class TestExpectedImprovement:
             )
 
     def test_negative_sd_rejected(self):
+        # quack's one EI entry point is log_ei
         with pytest.raises(InputError):
-            expected_improvement(0.0, -1.0, 0.0)
+            log_ei(0.0, -1.0, 0.0)
 
 
 class TestLogEi:
@@ -366,7 +364,7 @@ class TestProposeNext:
         surrogate = fit_surrogate(trials, space)
         for seed in range(5):
             proposal = propose_next(surrogate, space, 0.5, restarts=4, seed=seed)
-            assert space.contains(proposal)
+            assert np.all(proposal >= space.lower) and np.all(proposal <= space.upper)
 
     def test_deterministic_per_seed(self):
         trials = _quadratic_trials(UNIT3, n=25)
@@ -405,7 +403,7 @@ class TestTune:
         trace = tune(objective, UNIT3, n0=10, n_query=6, seed=4)
         best = -math.inf
         for trial in trace.trials:
-            assert UNIT3.contains(trial.theta)
+            assert np.all(trial.theta >= 0.0) and np.all(trial.theta <= 1.0)
             best = max(best, trial.value)
             assert trace.incumbent_value >= trial.value
         assert trace.incumbent_value == best

@@ -1,11 +1,12 @@
 """Config loading, CLI subcommands, output files and determinism."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from quack import cli, experiments, metrics
+from quack import cli, experiments, kernels, metrics
 from quack.config import ExperimentConfig, load_config, snapshot
 from quack.errors import ConfigError
 
@@ -150,9 +151,10 @@ class TestConfig:
             "periodic": (("p", 5.0, 35.0), ("l_p", 0.1, 30.0)),
         }
         for kind, dims in expected.items():
-            assert experiments.search_space_for(kind, cfg).dims == dims + tail
+            space = experiments.search_space_for(dataclasses.replace(cfg, kernel=kind))
+            assert space.dims == dims + tail
         with pytest.raises(ConfigError):
-            experiments.search_space_for("spline", cfg)
+            experiments.search_space_for(dataclasses.replace(cfg, kernel="spline"))
 
     def test_snapshot_round_trips_to_json(self):
         text = json.dumps(snapshot(load_config(env={})))
@@ -253,7 +255,7 @@ class TestCompareCommand:
         assert table[0] == "kernel," + ",".join(metrics.Evaluation.METRIC_FIELDS)
         assert len(table) == 6  # header + five kernels
         kinds = [line.split(",")[0] for line in table[1:]]
-        assert kinds == list(experiments.COMPARE_KINDS)
+        assert kinds == list(kernels.KERNEL_KINDS)
         values = {
             line.split(",")[0]: [float(v) for v in line.split(",")[1:]]
             for line in table[1:]
@@ -279,10 +281,10 @@ class TestCompareCommand:
         cfg.n0, cfg.n_query, cfg.restarts = 4, 2, 4
         real_tune = experiments.run_tune
 
-        def failing_tune(cfg, kind, series, out_dir=None, **kwargs):
-            if kind == "rq":
+        def failing_tune(cfg, series, out_dir=None):
+            if cfg.kernel == "rq":
                 raise RuntimeError("synthetic failure")
-            return real_tune(cfg, kind, series, out_dir, **kwargs)
+            return real_tune(cfg, series, out_dir)
 
         monkeypatch.setattr(experiments, "run_tune", failing_tune)
         rows = experiments.run_compare(cfg, tmp_path)
@@ -327,6 +329,43 @@ class TestAblateCommand:
         for line in lines[1:]:
             _, ll, mae = line.split(",")
             assert np.isfinite(float(ll)) and np.isfinite(float(mae))
+
+
+class TestRunRecords:
+    """Each run's record.json carries the config that run used."""
+
+    TINY_BO = "n0 = 4\nn_query = 2\nrestarts = 2\n"
+
+    def test_ablate_record_is_the_sizes_config(self, tmp_path):
+        cfg_path = _write_config(
+            tmp_path,
+            self.TINY_BO + "ablate.qubits = 5,6\nablate.n_steps = 120\nablate.train_overlap = 3\n",
+        )
+        assert cli.main(["--config", str(cfg_path), "--out", str(tmp_path), "ablate"]) == 0
+        for w in (5, 6):
+            record = json.loads((tmp_path / "ablate" / f"qubits_{w}" / "record.json").read_text())
+            config = record["config"]
+            assert config["kernel"] == "iqp"
+            assert config["window"] == w
+            assert config["train_overlap"] == 3
+            assert config["gen.n_steps"] == 120
+            # the last target is the last step of the 120-step series the run used
+            assert record["posteriors"][-1]["index"] == 120
+
+    def test_compare_records_are_the_kinds_configs(self, tmp_path):
+        cfg_path = _write_config(tmp_path, self.TINY_BO)
+        args = ["--config", str(cfg_path), "--out", str(tmp_path), "compare", "--matern-all"]
+        assert cli.main(args) == 0
+        root = tmp_path / "compare"
+        for kind in kernels.KERNEL_KINDS:
+            if kind == "matern":
+                continue
+            record = json.loads((root / kind / "record.json").read_text())
+            assert record["config"]["kernel"] == kind
+        for nu in kernels.MATERN_NUS:
+            record = json.loads((root / "matern" / f"nu_{nu}" / "record.json").read_text())
+            assert record["config"]["kernel"] == "matern"
+            assert record["config"]["matern_nu"] == nu
 
 
 class TestTunedFile:

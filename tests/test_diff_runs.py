@@ -34,7 +34,34 @@ def test_reports_deviation_of_lined_up_files(tmp_path, capsys):
     assert lines == [
         "notes.txt: differs",
         "run/ablate.csv: differs",
-        "run/record.json: differs (max abs 0.001, max rel 0.00025)",
+        "run/record.json: differs in means (max abs 0.001, max rel 0.00025)",
         "run/table.csv: differs (max abs 0.5, max rel 0.25)",
         "5 files compared, 4 differ",
+    ]
+
+
+def test_names_the_differing_keys_of_json_objects(tmp_path, capsys):
+    old, new = tmp_path / "old", tmp_path / "new"
+    old_record = {
+        "kind": "iqp",
+        "config": {"window": 5, "gen.n_steps": 240},
+        "evaluation": {"mae": float("nan")},
+        "timings": {"s": 1.0},
+    }
+    new_record = {
+        **old_record,
+        "config": {"window": 6, "gen.n_steps": 480},
+        "timings": {"s": 2.0},
+        "note": "added",
+    }
+    for root, record in ((old, old_record), (new, new_record)):
+        root.mkdir()
+        (root / "record.json").write_text(json.dumps(record))
+        (root / "list.json").write_text(json.dumps([1, root.name]))
+
+    assert diff_runs.main([str(old), str(new)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "list.json: differs",
+        "record.json: differs in config, note",
+        "2 files compared, 2 differ",
     ]

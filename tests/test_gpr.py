@@ -8,7 +8,7 @@ import pytest
 import oracles
 from quack import gpr, kernels
 from quack.errors import InputError, ParameterError
-from quack.gpr import GprHyperparams, fit, mll, predict, predict_batch
+from quack.gpr import GprHyperparams, fit, mll, predict_batch
 
 JITTER0 = gpr.JITTER_LADDER[0]
 
@@ -23,6 +23,12 @@ def _hp(kind="rbf", mean=0.0, noise=0.1, **params):
     }
     merged = {**defaults[kind], **params}
     return GprHyperparams(mean_const=mean, noise_var=noise, kernel=kernels.KernelModel(kind, merged))
+
+
+def _predict_one(model, xq):
+    """Posterior mean and variance at one query window, a (w, 1) batch."""
+    means, variances = predict_batch(model, np.asarray(xq, dtype=float)[:, None])
+    return means[0], variances[0]
 
 
 def _oracle_predict(X, y, hp, xq):
@@ -81,9 +87,9 @@ class TestPredict:
         X = np.array([[0.5], [1.0]])
         y = np.array([2.5])
         model = fit(X, y, _hp(noise=0.0))
-        post = predict(model, X[:, 0])
-        assert post.mean == pytest.approx(2.5, abs=1e-8)
-        assert post.var == pytest.approx(0.0, abs=1e-8)
+        mean, var = _predict_one(model, X[:, 0])
+        assert mean == pytest.approx(2.5, abs=1e-8)
+        assert var == pytest.approx(0.0, abs=1e-8)
 
     def test_single_point_closed_form(self):
         # c=1: mean = rho y / (1 + s), var = 1 - rho^2 / (1 + s).
@@ -94,9 +100,9 @@ class TestPredict:
         model = fit(X, y, hp)
         xq = np.array([1.0, 0.5])
         rho = oracles.evaluate(hp.kernel, X[:, 0], xq)
-        post = predict(model, xq)
-        assert post.mean == pytest.approx(rho * 1.5 / (1.0 + noise), abs=1e-9)
-        assert post.var == pytest.approx(1.0 - rho**2 / (1.0 + noise), abs=1e-9)
+        mean, var = _predict_one(model, xq)
+        assert mean == pytest.approx(rho * 1.5 / (1.0 + noise), abs=1e-9)
+        assert var == pytest.approx(1.0 - rho**2 / (1.0 + noise), abs=1e-9)
 
     def test_matches_direct_inverse_oracle(self):
         rng = np.random.default_rng(2)
@@ -110,10 +116,10 @@ class TestPredict:
             hp = _hp(kind, mean=rng.uniform(-1, 1), noise=rng.uniform(0.1, 1.0))
             model = fit(X, y, hp)
             xq = rng.normal(size=w)
-            post = predict(model, xq)
+            mean, var = _predict_one(model, xq)
             mean_ref, var_ref = _oracle_predict(X, y, hp, xq)
-            assert post.mean == pytest.approx(mean_ref, abs=1e-8)
-            assert post.var == pytest.approx(max(var_ref, 0.0), abs=1e-8)
+            assert mean == pytest.approx(mean_ref, abs=1e-8)
+            assert var == pytest.approx(max(var_ref, 0.0), abs=1e-8)
 
     def test_variance_never_exceeds_prior(self):
         rng = np.random.default_rng(3)
@@ -122,7 +128,7 @@ class TestPredict:
         for _ in range(50):
             xq = rng.normal(size=4)
             prior = oracles.evaluate(model.hp.kernel, xq, xq)
-            assert predict(model, xq).var <= prior + 1e-10
+            assert _predict_one(model, xq)[1] <= prior + 1e-10
 
     def test_more_data_never_increases_variance(self):
         rng = np.random.default_rng(4)
@@ -131,8 +137,8 @@ class TestPredict:
             y = rng.normal(size=12)
             hp = _hp(noise=0.3)
             xq = rng.normal(size=3)
-            small = predict(fit(X[:, :8], y[:8], hp), xq).var
-            large = predict(fit(X, y, hp), xq).var
+            small = _predict_one(fit(X[:, :8], y[:8], hp), xq)[1]
+            large = _predict_one(fit(X, y, hp), xq)[1]
             assert large <= small + 1e-8
 
     def test_batch_matches_scalar(self):
@@ -142,21 +148,36 @@ class TestPredict:
         Xq = rng.normal(size=(4, 7))
         means, variances = predict_batch(model, Xq)
         for j in range(7):
-            post = predict(model, Xq[:, j])
-            assert means[j] == pytest.approx(post.mean, abs=1e-12)
-            assert variances[j] == pytest.approx(post.var, abs=1e-12)
+            mean, var = _predict_one(model, Xq[:, j])
+            assert means[j] == pytest.approx(mean, abs=1e-12)
+            assert variances[j] == pytest.approx(var, abs=1e-12)
 
     def test_query_dimension_mismatch(self):
         model = fit(np.zeros((3, 2)), np.zeros(2), _hp(noise=0.5))
         with pytest.raises(InputError):
-            predict(model, np.zeros(4))
+            predict_batch(model, np.zeros((4, 1)))
 
-    def test_clamp_counter(self):
-        gpr.reset_variance_clamp_count()
-        X = np.array([[0.0, 1.0]])
-        model = fit(X, np.array([0.0, 1.0]), _hp(noise=0.0))
-        predict_batch(model, X)
-        assert gpr.variance_clamp_count() >= 0  # counter readable, never negative
+    def test_negative_variance_clamped_to_zero(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(3, 6))
+        model = fit(X, rng.normal(size=6), _hp(noise=0.05))
+        Xq = np.concatenate([X[:, :1], rng.normal(size=(3, 4))], axis=1)
+        means, variances = predict_batch(model, Xq)
+        real_cross_and_diag = kernels.cross_and_diag
+
+        def small_first_kappa(*args):
+            kmat, kappa = real_cross_and_diag(*args)
+            kappa = kappa.copy()
+            kappa[0] = 1e-3  # below k^T (K + sn2 I)^-1 k at a training window
+            return kmat, kappa
+
+        monkeypatch.setattr(kernels, "cross_and_diag", small_first_kappa)
+        clamped_means, clamped = predict_batch(model, Xq)
+        # rbf: kappa = 1, so the patched raw variance is 1e-3 - (1 - variances[0]) < 0
+        assert 0.0 < variances[0] < 1.0 - 1e-3
+        assert clamped[0] == 0.0
+        assert np.array_equal(clamped[1:], variances[1:])
+        assert np.array_equal(clamped_means, means)
 
 
 class TestMll:

@@ -245,7 +245,7 @@ class TestDispatch:
         whole = qkernel.embed_columns(X, params).conj() @ qkernel.embed_columns(X2, params).T
         assert kmat == pytest.approx(np.abs(whole) ** 2, abs=1e-12)
         for j in range(c2):
-            state = qkernel.embed(X2[:, j], params)
+            state = qkernel.embed_columns(X2[:, j : j + 1], params)[0]
             assert kappa[j] == pytest.approx(np.vdot(state, state).real ** 2, abs=1e-12)
 
     def test_cross_and_diag_classical(self):

@@ -6,7 +6,12 @@ import pytest
 from oracles import embed_dense
 from quack import qkernel
 from quack.errors import InputError, ResourceError
-from quack.qkernel import IqpParams, diagonal_phases, embed, embed_columns, gram_matrix
+from quack.qkernel import IqpParams, diagonal_phases, embed_columns, gram_matrix
+
+
+def embed(x, params, **kwargs):
+    """quack's statevector of one window: a one-column design."""
+    return embed_columns(np.asarray(x, dtype=float)[:, None], params, **kwargs)[0]
 
 
 def kernel(x, x2, params):

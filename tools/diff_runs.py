@@ -7,11 +7,13 @@ Every file under either directory is compared with its namesake under the
 other.  JSON files are compared without their top-level ``timings``
 object, and ``trace.csv`` files without the last field of each line (the
 timestamp); all other files byte for byte.  Prints each differing or
-unmatched file and a summary line.  For a differing CSV or JSON file whose
-fields line up with its namesake's (same layout, and every field that is
-not a finite number equal) it also prints the largest absolute and
-relative deviation of the numbers, relative to the old value.  Exits 0
-when no file differs, 1 otherwise.  Standard library only.
+unmatched file and a summary line.  For a differing JSON object it names
+the top-level keys whose values differ.  For a differing CSV or JSON
+file whose fields line up with its namesake's (same layout, and every
+field that is not a finite number equal) it also prints the largest
+absolute and relative deviation of the numbers, relative to the old
+value.  Exits 0 when no file differs, 1 otherwise.  Standard library
+only.
 """
 
 from __future__ import annotations
@@ -38,6 +40,26 @@ def comparable(path: Path) -> bytes:
         lines = data.decode().splitlines()
         return "\n".join(line.rsplit(",", 1)[0] for line in lines).encode()
     return data
+
+
+def differing_keys(old: Path, new: Path) -> list[str]:
+    """Top-level keys whose values differ between two JSON objects, in order.
+
+    Empty unless both files are JSON objects.
+    """
+    if old.suffix != ".json":
+        return []
+    try:
+        a, b = json.loads(comparable(old)), json.loads(comparable(new))
+    except ValueError:
+        return []
+    if not (isinstance(a, dict) and isinstance(b, dict)):
+        return []
+    # values compare as text, as the files do, so that NaN equals NaN
+    return [
+        key for key in {**a, **b}
+        if key not in a or key not in b or json.dumps(a[key]) != json.dumps(b[key])
+    ]
 
 
 def _parse(text: str):
@@ -109,9 +131,11 @@ def diff_trees(old: Path, new: Path) -> tuple[list[str], int]:
         elif not b.is_file():
             differing.append(f"{name}: only in {old}")
         elif comparable(a) != comparable(b):
+            keys = differing_keys(a, b)
+            where = f" in {', '.join(keys)}" if keys else ""
             dev = deviation(a, b)
             detail = "" if dev is None else f" (max abs {dev[0]:.3g}, max rel {dev[1]:.3g})"
-            differing.append(f"{name}: differs{detail}")
+            differing.append(f"{name}: differs{where}{detail}")
     return differing, len(names)
 
 
