@@ -5,17 +5,29 @@ criterion.  Criterion 6 is split into its three clauses; clause (b) is a
 known-red criterion on this generator (IQP's test log likelihood trails
 Matern's on 12/12 measured data seeds; see the analysis in the project
 notes) and is asserted as stated rather than weakened.
+
+The tuner-quality check compares the comparison runs' tuned incumbents
+with ``golden/tuner.json``.  A change that is meant to move them
+regenerates that file, and says why, with::
+
+    OPENBLAS_NUM_THREADS=1 python3 tests/test_acceptance.py
 """
 
 import dataclasses
 import json
 import math
+import statistics
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.stats import norm
+
+if __name__ == "__main__":  # run as a script: import quack from the source tree
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import oracles
 from quack import cli, experiments, gpr, kernels, metrics, qkernel, timeseries
@@ -180,23 +192,33 @@ def test_criterion_5_bo_sanity():
 # 6. Benchmark comparison (5 data seeds, full 50-evaluation budget)
 
 
-@pytest.fixture(scope="module")
-def comparison_runs():
-    started = time.perf_counter()
+COMPARISON_KINDS = ("iqp", "rbf", "matern")
+COMPARISON_SEEDS = range(5)
+
+
+def _comparison_runs() -> dict:
+    """data seed -> kind -> (TuneResult, PredictResult) at the default config."""
     runs = {}
-    for seed in range(5):
+    for seed in COMPARISON_SEEDS:
         cfg = load_config(env={})
         cfg.seed_data = seed
         cfg.gen.seed = seed
         series = experiments.build_series(cfg)
         per_kind = {}
-        for kind in ("iqp", "rbf", "matern"):
+        for kind in COMPARISON_KINDS:
             kind_cfg = dataclasses.replace(cfg, kernel=kind)
             tuned = experiments.run_tune(kind_cfg, series)
             assert len(tuned.trace.trials) == 50  # n0 + n_query objective calls
             pred = experiments.run_predict(kind_cfg, tuned.theta, series)
             per_kind[kind] = (tuned, pred)
         runs[seed] = per_kind
+    return runs
+
+
+@pytest.fixture(scope="module")
+def comparison_runs():
+    started = time.perf_counter()
+    runs = _comparison_runs()
     elapsed = time.perf_counter() - started
     assert elapsed < 1800.0, f"comparison runs took {elapsed:.0f}s"
     return runs
@@ -233,6 +255,35 @@ def test_criterion_6c_tuned_alpha_interior(comparison_runs):
     )
     assert hits >= 4, f"alpha interior on only {hits}/5 seeds"
     _passed("6c", "tuned alpha in (0.05, 0.6)")
+
+
+# --------------------------------------------------------------------------
+# Tuner quality: the comparison runs' incumbents against the recorded ones
+
+TUNER_RECORD = Path(__file__).parent / "golden" / "tuner.json"
+
+
+def _incumbents(runs: dict) -> dict[str, list[float]]:
+    """kind -> tuned incumbent MLL per data seed."""
+    return {
+        kind: [runs[seed][kind][0].incumbent_value for seed in COMPARISON_SEEDS]
+        for kind in COMPARISON_KINDS
+    }
+
+
+def test_tuner_quality_against_record(comparison_runs):
+    # The tuner may move incumbents either way, but not lose on balance:
+    # the median change stays above -0.05 nats and no entry drops by 1.5.
+    recorded = json.loads(TUNER_RECORD.read_text())
+    got = _incumbents(comparison_runs)
+    changes = [
+        new - old
+        for kind in COMPARISON_KINDS
+        for new, old in zip(got[kind], recorded[kind], strict=True)
+    ]
+    assert statistics.median(changes) >= -0.05, f"incumbent changes {changes}"
+    assert min(changes) >= -1.5, f"incumbent changes {changes}"
+    _passed("tuner", "incumbents against the recorded tuner table")
 
 
 # --------------------------------------------------------------------------
@@ -320,3 +371,9 @@ def test_criterion_10_performance_floor():
     assert gram.shape == (60, 60)
     assert elapsed < 60.0, f"60x60 gram at n=10 took {elapsed:.2f}s"
     _passed(10, "performance floor")
+
+
+if __name__ == "__main__":
+    TUNER_RECORD.parent.mkdir(exist_ok=True)
+    TUNER_RECORD.write_text(json.dumps(_incumbents(_comparison_runs()), indent=1) + "\n")
+    print(f"wrote {TUNER_RECORD}")
