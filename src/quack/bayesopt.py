@@ -12,13 +12,24 @@ Surrogate inputs are normalized to the unit cube and values standardized
 to zero mean / unit variance; its own lengthscale and noise are picked by
 maximizing the surrogate marginal log likelihood over a fixed 128-point
 Sobol grid, which keeps the whole pipeline deterministic for a given
-seed.  All grid points share one distance matrix of the trials, so a
-grid point costs one Gram, one Cholesky factorization and one solve; the
-winner's factor and solve are the surrogate, with no refit, and the
-acquisition reads its posterior from them directly.
+seed.  The tuner keeps each grid point's inverse Cholesky factor L^-1
+across steps (:class:`SurrogateFactors`), so a new trial appends one row
+per grid point, O(G m^2) for G grid points and m trials, instead of G
+fresh factorizations; a score needs only L^-1 z and the diagonal of L^-1.
+The winner's L^-1 and solve are the surrogate, and the acquisition reads
+its posterior from them directly.
+
+Each proposal screens 1023 scrambled Sobol points with one vectorized
+log-EI call and polishes the best ``restarts`` of them with L-BFGS-B, as
+BoTorch's ``optimize_acqf`` screens raw samples (Balandat et al., NeurIPS
+2020).  On the default ``quack ablate --seed-data 7 --seed-bo 8`` with
+one BLAS thread on a 2-CPU x86 host, the six tunes took 2.2 s against
+6.7 s with 16 L-BFGS-B starts and per-step factorizations: 300 L-BFGS-B
+runs instead of 2400, 0.21 s of surrogate fits instead of 2.18 s, and
+the objective (1.05 s) is the largest part.
 
 The tune loop is inherently sequential; each proposal depends on all
-prior results.  Sobol-phase evaluations and restarts are independent and
+prior results.  Sobol-phase evaluations and polishes are independent and
 reduce by ordered argmax, so results do not depend on evaluation order.
 """
 
@@ -47,8 +58,16 @@ _SURROGATE_GRID_SIZE = 128
 _SURROGATE_LENGTHSCALE_BOUNDS = (0.05, 4.0)
 _SURROGATE_NOISE_BOUNDS = (1e-6, 1e-1)
 
+# A grid point is refactored when an appended pivot d^2 falls below this
+# fraction of its exact lower bound, noise_var + jitter.
+_PIVOT_FLOOR = 0.5
+
+# Scrambled Sobol points scored per proposal before the L-BFGS-B polish.
+_SCREEN_SIZE = 1023
+
 _SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_LOG_2PI = math.log(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -94,12 +113,29 @@ class Trial:
 
 
 @dataclass
+class TunerCounts:
+    """Work the tuner did beside the objective; deterministic for a seed.
+
+    ``lbfgs_runs`` counts L-BFGS-B polishes, ``lbfgs_failed`` those that
+    raised or ended non-finite, ``fallbacks`` the proposals whose every
+    polish failed, and ``refactors`` the surrogate grid points refactored
+    from scratch at a higher jitter rung.
+    """
+
+    lbfgs_runs: int = 0
+    lbfgs_failed: int = 0
+    fallbacks: int = 0
+    refactors: int = 0
+
+
+@dataclass
 class TuneTrace:
-    """Ordered record of evaluated points and the running best."""
+    """Ordered record of evaluated points, the running best and the work counts."""
 
     trials: list[Trial] = field(default_factory=list)
     incumbent_theta: np.ndarray | None = None
     incumbent_value: float = -math.inf
+    counts: TunerCounts = field(default_factory=TunerCounts)
 
     def record(self, theta: np.ndarray, value: float, phase: str) -> None:
         self.trials.append(Trial(theta=np.asarray(theta, dtype=float), value=float(value), phase=phase))
@@ -133,8 +169,8 @@ def sobol_init(space: SearchSpace, n0: int, seed: int) -> np.ndarray:
     return space.from_unit(unit)
 
 
-def _log_h(delta: float) -> tuple[float, float]:
-    """log h and Phi / h at delta, where h = delta Phi(delta) + phi(delta).
+def _log_h(delta) -> tuple[np.ndarray, np.ndarray]:
+    """log h and Phi / h at each delta, where h = delta Phi(delta) + phi(delta).
 
     log EI = log sd + log h((mean - f*) / sd), and Phi / h is the factor
     the acquisition gradient needs, since h' = Phi.  Above -1 both come
@@ -143,38 +179,57 @@ def _log_h(delta: float) -> tuple[float, float]:
     Phi / h = M / g, with M from erfcx.  Below the deep-tail switch, where
     the subtraction in g would lose precision, the asymptotic Mills-ratio
     series gives g = t p(t) with t = 1 / delta^2 and M = (1 - g) / |delta|,
-    so M / g = (1 - g) |delta| / p.
+    so M / g = (1 - g) |delta| / p.  Works elementwise, computing each
+    branch on its own elements only; both results have the shape of
+    ``delta``.
     """
-    if delta > -1.0:
-        cdf = float(ndtr(delta))
-        h = delta * cdf + _INV_SQRT_2PI * math.exp(-0.5 * delta * delta)
-        return math.log(h), cdf / h
-    a = -delta
-    if delta >= _DEEP_TAIL:
-        mills = _SQRT_HALF_PI * float(erfcx(a / math.sqrt(2.0)))
+    shape = np.shape(delta)
+    delta = np.asarray(delta, dtype=float).reshape(-1)  # 1-d: cheaper to index than 0-d
+    log_h = np.empty(delta.shape)
+    ratio = np.empty(delta.shape)
+    direct = delta > -1.0
+    if direct.any():
+        d = delta[direct]
+        cdf = ndtr(d)
+        h = d * cdf + _INV_SQRT_2PI * np.exp(-0.5 * d * d)
+        log_h[direct], ratio[direct] = np.log(h), cdf / h
+    deep = delta < _DEEP_TAIL
+    tail = ~(direct | deep)
+    if tail.any():
+        a = -delta[tail]
+        mills = _SQRT_HALF_PI * erfcx(a / math.sqrt(2.0))
         g = 1.0 - a * mills
-        log_g, ratio = math.log(g), mills / g
-    else:
-        t = 1.0 / (delta * delta)
+        log_h[tail], ratio[tail] = -0.5 * a * a - 0.5 * _LOG_2PI + np.log(g), mills / g
+    if deep.any():
+        a = -delta[deep]
+        t = 1.0 / (a * a)
         p = 1.0 - t * (3.0 - t * (15.0 - t * (105.0 - 945.0 * t)))
-        log_g, ratio = math.log(p) - 2.0 * math.log(a), (1.0 - t * p) * a / p
-    return -0.5 * delta * delta - 0.5 * math.log(2.0 * math.pi) + log_g, ratio
+        log_g = np.log(p) - 2.0 * np.log(a)
+        log_h[deep], ratio[deep] = -0.5 * a * a - 0.5 * _LOG_2PI + log_g, (1.0 - t * p) * a / p
+    return log_h.reshape(shape), ratio.reshape(shape)
 
 
-def log_ei(mean: float, sd: float, incumbent: float) -> float:
+def log_ei(mean, sd, incumbent: float):
     """Numerically stable log of the expected improvement E[max(0, g - incumbent)]
     for g ~ N(mean, sd^2), which degenerates to max(0, mean - incumbent) at sd = 0.
 
     Monotone in EI (same argmax).  Uses the direct logarithm where the
     standardized improvement exceeds -1 and a tail formulation below,
     staying finite far into the tail instead of underflowing.  Returns a
-    finite large-negative sentinel where EI is exactly zero.
+    finite large-negative sentinel where EI is exactly zero.  ``mean`` and
+    ``sd`` may be arrays (broadcast together); scalars give a float.
     """
-    if sd < 0:
-        raise InputError(f"sd must be >= 0, got {sd}")
-    if sd == 0.0:
-        return math.log(mean - incumbent) if mean > incumbent else LOG_EI_FLOOR
-    return math.log(sd) + _log_h((mean - incumbent) / sd)[0]
+    improvement, sd = np.broadcast_arrays(
+        np.asarray(mean, dtype=float) - incumbent, np.asarray(sd, dtype=float)
+    )
+    if np.any(sd < 0):
+        raise InputError(f"sd must be >= 0, got {sd.min()}")
+    out = np.full(sd.shape, LOG_EI_FLOOR)
+    spread = sd > 0.0
+    out[spread] = np.log(sd[spread]) + _log_h(improvement[spread] / sd[spread])[0]
+    gain = ~spread & (improvement > 0.0)
+    out[gain] = np.log(improvement[gain])
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass
@@ -182,11 +237,11 @@ class Surrogate:
     """Matern-5/2 GP over the unit cube on standardized objective values.
 
     It is the winner of the surrogate grid as scored: ``units`` holds the
-    trials' unit-cube points as rows, ``chol`` the lower Cholesky factor
-    of K + (noise_var + jitter) I and ``solve`` that factor's solve
-    against the standardized values.  All three are None for the
-    degenerate all-equal-values fallback, where the posterior is the
-    prior: zero mean, unit sd (standardized units).
+    trials' unit-cube points as rows, ``chol_inv`` the inverse L^-1 of
+    the lower Cholesky factor of K + (noise_var + jitter) I and ``solve``
+    (K + (noise_var + jitter) I)^-1 z for the standardized values z.  All
+    three are None for the degenerate all-equal-values fallback, where the
+    posterior is the prior: zero mean, unit sd (standardized units).
     """
 
     value_mean: float
@@ -194,7 +249,7 @@ class Surrogate:
     lengthscale: float
     noise_var: float
     units: np.ndarray | None = None
-    chol: np.ndarray | None = None
+    chol_inv: np.ndarray | None = None
     solve: np.ndarray | None = None
 
     def standardize_value(self, value: float) -> float:
@@ -212,16 +267,94 @@ def _surrogate_grid() -> tuple[np.ndarray, np.ndarray]:
     return lengthscales, noises
 
 
-def fit_surrogate(trials: list[Trial], space: SearchSpace) -> Surrogate:
+class SurrogateFactors:
+    """Inverse Cholesky factors of every surrogate grid point, grown by rows.
+
+    For grid point g, ``chol_inv[g, :m, :m]`` is L^-1, the inverse lower
+    Cholesky factor of K_g + (noise_g + jitter_g) I over the first m unit
+    points, K_g the Matern-5/2 Gram at lengthscale l_g.  Appending a point
+    with kernel column k costs one batched matvec, l = L^-1 k: with
+    d^2 = 1 + noise_g + jitter_g - |l|^2 the new row of L^-1 is
+    [-l^T L^-1 / d, 1 / d].  In exact arithmetic d^2 >= noise_g + jitter_g;
+    a grid point whose d^2 falls below ``_PIVOT_FLOOR`` times that bound
+    is refactored from scratch by :func:`gpr.factor_and_solve` at the next
+    jitter rung, and keeps that rung from then on.  Every point starts at
+    the first rung.  Refactors are counted in ``counts``.
+    """
+
+    def __init__(self, dim: int, capacity: int, counts: TunerCounts | None = None):
+        self.lengthscales, self.noises = _surrogate_grid()
+        grid = self.lengthscales.shape[0]
+        self.rungs = np.zeros(grid, dtype=int)
+        self.ridge = self.noises + gpr.JITTER_LADDER[0]  # noise_g + jitter_g
+        self.units = np.empty((capacity, dim))
+        self.chol_inv = np.zeros((grid, capacity, capacity))
+        self.size = 0
+        self.counts = TunerCounts() if counts is None else counts
+
+    def extend(self, units: np.ndarray) -> None:
+        """Append the rows of ``units`` past the ``size`` already factored."""
+        if units.shape[0] > self.units.shape[0]:
+            raise InputError(
+                f"{units.shape[0]} trials exceed the factor capacity {self.units.shape[0]}"
+            )
+        for u in units[self.size:]:
+            self._append(u)
+
+    def _append(self, u: np.ndarray) -> None:
+        m = self.size
+        dist = np.sqrt(np.sum((self.units[:m] - u) ** 2, axis=1))
+        k = kernels._matern_from_scaled(dist / self.lengthscales[:, None], 2.5)
+        inv = self.chol_inv[:, :m, :m]
+        proj = np.matmul(inv, k[:, :, None])[:, :, 0]
+        pivot = 1.0 + self.ridge - np.einsum("gi,gi->g", proj, proj)
+        refactor = pivot < _PIVOT_FLOOR * self.ridge
+        d = np.sqrt(np.where(refactor, 1.0, pivot))
+        self.chol_inv[:, m, :m] = np.matmul(proj[:, None, :], inv)[:, 0, :] / -d[:, None]
+        self.chol_inv[:, m, m] = 1.0 / d
+        self.units[m] = u
+        self.size = m + 1
+        for g in np.flatnonzero(refactor):
+            self._refactor(int(g))
+
+    def _refactor(self, g: int) -> None:
+        m = self.size
+        units = self.units[:m]
+        dist = np.sqrt(kernels._pairwise_sqdist(units.T, units.T))
+        gram = kernels._matern_from_scaled(dist / self.lengthscales[g], 2.5)
+        chol, jitter, _ = gpr.factor_and_solve(
+            gram, self.noises[g], np.zeros(m), "matern", first_rung=int(self.rungs[g]) + 1
+        )
+        self.rungs[g] = gpr.JITTER_LADDER.index(jitter)
+        self.ridge[g] = self.noises[g] + jitter
+        self.chol_inv[g, :m, :m] = solve_triangular(chol, np.eye(m), lower=True)
+        self.counts.refactors += 1
+
+    def scores(self, zvals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each grid point's marginal log likelihood of ``zvals``, and L^-1 z.
+
+        log N(z; 0, L L^T) = -|L^-1 z|^2 / 2 + sum log diag(L^-1) - (m / 2) log 2 pi.
+        """
+        m = self.size
+        inv = self.chol_inv[:, :m, :m]
+        half = np.matmul(inv, zvals)
+        logdet_half = np.sum(np.log(np.diagonal(inv, axis1=1, axis2=2)), axis=1)
+        quad = np.einsum("gi,gi->g", half, half)
+        return -0.5 * quad + logdet_half - 0.5 * m * _LOG_2PI, half
+
+
+def fit_surrogate(
+    trials: list[Trial], space: SearchSpace, factors: SurrogateFactors | None = None
+) -> Surrogate:
     """Fit the Matern-5/2 surrogate to the trials seen so far.
 
     Scores every point of the fixed grid by its marginal log likelihood
-    and keeps the first best one, with its factor and solve.  The
-    distance matrix of the trials is computed once; each grid point then
-    builds its Gram from it and climbs the Cholesky jitter ladder of
-    :func:`gpr.factor_and_solve`.  Requires at least two trials.
-    All-equal values (zero spread) fall back to a prior-only surrogate
-    with unit lengthscale.
+    and keeps the first best one, with its inverse factor and solve.
+    ``factors`` carries the grid's inverse factors from earlier calls on
+    a prefix of these trials and is extended by the new ones; without it
+    the factors are built here.  Requires at least two trials.  All-equal
+    values (zero spread) fall back to a prior-only surrogate with unit
+    lengthscale.
     """
     if len(trials) < 2:
         raise InputError(f"surrogate needs >= 2 trials, got {len(trials)}")
@@ -236,26 +369,41 @@ def fit_surrogate(trials: list[Trial], space: SearchSpace) -> Surrogate:
         )
     unit = np.array([space.to_unit(t) for t in thetas])
     zvals = (values - value_mean) / value_sd
-    dist = np.sqrt(kernels._pairwise_sqdist(unit.T, unit.T))
-    best, best_score = None, -math.inf
-    for lengthscale, noise_var in zip(*_surrogate_grid()):
-        gram = kernels._matern_from_scaled(dist / lengthscale, 2.5)
-        chol, _, solve = gpr.factor_and_solve(gram, noise_var, zvals, "matern")
-        score = gpr.log_marginal(zvals, chol, solve)
-        if best is None or score > best_score:
-            best, best_score = (float(lengthscale), float(noise_var), chol, solve), score
-    lengthscale, noise_var, chol, solve = best
+    if factors is None:
+        factors = SurrogateFactors(space.dim, len(trials))
+    factors.extend(unit)
+    scores, half = factors.scores(zvals)
+    best = int(np.argmax(scores))
+    chol_inv = factors.chol_inv[best, : len(trials), : len(trials)].copy()
     return Surrogate(
-        value_mean=value_mean, value_sd=value_sd, lengthscale=lengthscale,
-        noise_var=noise_var, units=unit, chol=chol, solve=solve,
+        value_mean=value_mean, value_sd=value_sd,
+        lengthscale=float(factors.lengthscales[best]),
+        noise_var=float(factors.noises[best]),
+        units=unit, chol_inv=chol_inv, solve=half[best] @ chol_inv,
     )
+
+
+def _posterior(surrogate: Surrogate, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Standardized posterior mean and sd at each row of ``points``.
+
+    The variance 1 - |L^-1 k|^2 is clamped at 0; the prior-only surrogate
+    gives mean 0 and sd 1 everywhere.
+    """
+    if surrogate.chol_inv is None:
+        return np.zeros(points.shape[0]), np.ones(points.shape[0])
+    units = surrogate.units
+    sqdist = sum((points[:, j, None] - units[:, j]) ** 2 for j in range(units.shape[1]))
+    k = kernels._matern_from_scaled(np.sqrt(sqdist) / surrogate.lengthscale, 2.5)
+    half = k @ surrogate.chol_inv.T
+    var = 1.0 - np.einsum("ij,ij->i", half, half)
+    return k @ surrogate.solve, np.sqrt(np.maximum(var, 0.0))
 
 
 def _acquisition_with_grad(surrogate: Surrogate, incumbent_std: float):
     """Negated log-EI on [0,1]^d and its exact gradient.
 
-    Per proposal it keeps the training units x_i, the cached solve
-    alpha = (K + sn2 I)^-1 z and L^-1 (one triangular solve against I).
+    It reads the training units x_i, the cached solve
+    alpha = (K + sn2 I)^-1 z and L^-1 from the surrogate.
     At a point u, with s_i = sqrt(5) |u - x_i| / l, the Matern-5/2
     posterior and its gradient are
 
@@ -268,17 +416,17 @@ def _acquisition_with_grad(surrogate: Surrogate, incumbent_std: float):
 
         grad log EI = grad sd / sd + (Phi / h)(delta) (grad mean - delta grad sd) / sd.
 
-    log h and Phi / h come from the same formula as :func:`log_ei`.  A
+    log h and Phi / h come from :func:`_log_h`, as in :func:`log_ei`.  A
     clamped variance (sd = 0) leaves log(mean - f*), with gradient
     grad mean / (mean - f*), or the floor with gradient 0.  The
     prior-only surrogate is flat: its gradient is zero everywhere.
     """
-    if surrogate.chol is None:
+    if surrogate.chol_inv is None:
         value = log_ei(0.0, 1.0, incumbent_std)
         return lambda u: (-value, np.zeros(u.shape[0]))
     train = surrogate.units
     alpha = surrogate.solve
-    chol_inv = solve_triangular(surrogate.chol, np.eye(alpha.shape[0]), lower=True)
+    chol_inv = surrogate.chol_inv
     s_scale = 5.0 / surrogate.lengthscale**2
     grad_scale = -s_scale / 3.0
 
@@ -298,7 +446,7 @@ def _acquisition_with_grad(surrogate: Surrogate, incumbent_std: float):
             return -math.log(improvement), -grad
         sd = math.sqrt(var)
         delta = improvement / sd
-        log_h, ratio = _log_h(delta)
+        log_h, ratio = (float(v) for v in _log_h(delta))
         # grad log EI = grad_scale / sd * sum_i slope_i weight_i (u - x_i)
         weight = ratio * alpha - ((1.0 - ratio * delta) / sd) * (half @ chol_inv)
         grad = (grad_scale / sd) * ((slope * weight) @ diff)
@@ -311,37 +459,48 @@ def propose_next(
     surrogate: Surrogate,
     space: SearchSpace,
     incumbent: float,
-    restarts: int = 16,
+    restarts: int = 2,
     seed: int = 0,
+    counts: TunerCounts | None = None,
 ) -> np.ndarray:
     """Maximize log expected improvement over the box.
 
-    Multi-start L-BFGS-B from a fresh scrambled Sobol batch; ties and the
-    best endpoint resolve by first occurrence, so a fixed seed yields a
-    fixed proposal.  If every start fails outright, the first start point
-    with the best acquisition value is returned instead.
+    Scores ``_SCREEN_SIZE`` scrambled Sobol points with one vectorized
+    log-EI call, then polishes the best ``restarts`` of them (ties to the
+    earlier point) with L-BFGS-B.  The best polished endpoint wins, ties
+    to the first, so a fixed seed yields a fixed proposal.  If every
+    polish fails outright, the best screened point is returned instead.
+    ``counts``, when given, tallies the polishes, the failed ones and the
+    all-failed fallbacks.
     """
+    counts = TunerCounts() if counts is None else counts
     incumbent_std = surrogate.standardize_value(incumbent)
-    starts = _sobol_unit(space.dim, restarts, seed=seed, scramble=True)
+    screen = _sobol_unit(space.dim, _SCREEN_SIZE, seed=seed, scramble=True)
+    screened = log_ei(*_posterior(surrogate, screen), incumbent_std)
+    starts = screen[np.argsort(-screened, kind="stable")[:restarts]]
     objective = _acquisition_with_grad(surrogate, incumbent_std)
     bounds = [(0.0, 1.0)] * space.dim
     best_val = math.inf
     best_u = None
     for start in starts:
+        counts.lbfgs_runs += 1
         try:
             result = minimize(
                 objective, start, jac=True, method="L-BFGS-B",
                 bounds=bounds, options={"maxiter": 100},
             )
         except (ValueError, FloatingPointError):
+            counts.lbfgs_failed += 1
             continue
         if not np.all(np.isfinite(result.x)) or not np.isfinite(result.fun):
+            counts.lbfgs_failed += 1
             continue
         if result.fun < best_val:
             best_val = float(result.fun)
             best_u = np.clip(result.x, 0.0, 1.0)
     if best_u is None:
-        best_u = starts[int(np.argmin([objective(start)[0] for start in starts]))]
+        counts.fallbacks += 1
+        best_u = starts[0]
     return space.from_unit(best_u)
 
 
@@ -378,21 +537,24 @@ def tune(
     n0: int,
     n_query: int,
     seed: int,
-    restarts: int = 16,
+    restarts: int = 2,
     trace_path=None,
 ) -> TuneTrace:
     """Run the full tuner: n0 Sobol evaluations, then n_query BO steps.
 
-    The objective is called exactly n0 + n_query times.  An exception
-    inside the objective aborts the run; trials already completed remain
-    in the trace file (when ``trace_path`` is given), which is flushed
-    line by line.
+    The objective is called exactly n0 + n_query times.  The surrogate
+    grid's inverse factors are kept across steps, so each step appends
+    one row per grid point.  ``restarts`` is the number of L-BFGS-B
+    polishes per proposal.  An exception inside the objective aborts the
+    run; trials already completed remain in the trace file (when
+    ``trace_path`` is given), which is flushed line by line.
 
-    Returns the trace with the incumbent (argmax) recorded.
+    Returns the trace with the incumbent (argmax) and the work counts.
     """
     if n_query < 0:
         raise InputError(f"n_query must be >= 0, got {n_query}")
     trace = TuneTrace()
+    factors = SurrogateFactors(space.dim, n0 + n_query - 1, trace.counts) if n_query else None
     writer = TraceWriter(trace_path, space) if trace_path is not None else None
     try:
         for theta in sobol_init(space, n0, seed):
@@ -401,10 +563,10 @@ def tune(
             if writer:
                 writer.write("sobol", theta, value)
         for step in range(n_query):
-            surrogate = fit_surrogate(trace.trials, space)
+            surrogate = fit_surrogate(trace.trials, space, factors)
             theta = propose_next(
                 surrogate, space, trace.incumbent_value,
-                restarts=restarts, seed=_restart_seed(seed, step),
+                restarts=restarts, seed=_restart_seed(seed, step), counts=trace.counts,
             )
             value = float(objective(theta))
             trace.record(theta, value, "query")

@@ -35,7 +35,7 @@ class ExperimentConfig:
     noise_hi: float = 1.0
     n0: int = 25
     n_query: int = 25
-    restarts: int = 16
+    restarts: int = 2
     seed_data: int = 0
     seed_bo: int = 0
     out_dir: str = "runs"

@@ -112,6 +112,7 @@ def run_tune(
             "n0": cfg.n0,
             "n_query": cfg.n_query,
             "seed_bo": cfg.seed_bo,
+            "tuner": dataclasses.asdict(trace.counts),
             "timings": {"tune_s": seconds},
         }
         (out_dir / "tuned.json").write_text(json.dumps(payload, indent=2) + "\n")
@@ -230,7 +231,8 @@ def run_compare(cfg: ExperimentConfig, out_dir: Path | None = None) -> list[Comp
     Each run gets its own config, ``cfg`` with that run's kernel and
     Matern ``nu``.  A kernel that fails is recorded with its error and the
     run continues.  With ``matern_all`` the three Matern smoothness values
-    are tuned separately and the best by test log likelihood is reported.
+    are tuned separately, the best by test log likelihood is reported, and
+    ``matern/selected.json`` names its ``nu``.
     """
     series = build_series(cfg)
     rows: list[CompareRow] = []
@@ -255,6 +257,9 @@ def run_compare(cfg: ExperimentConfig, out_dir: Path | None = None) -> list[Comp
                                      matern_nu=nu)
         except Exception as exc:  # noqa: BLE001 - per-kernel isolation is the contract
             row = CompareRow(kind=kind, evaluation=None, theta=None, error=str(exc))
+        if kind == "matern" and cfg.matern_all and row.error is None and kind_dir is not None:
+            selected = {"matern_nu": row.matern_nu, "ll_total": row.evaluation.ll_total}
+            (kind_dir / "selected.json").write_text(json.dumps(selected, indent=2) + "\n")
         rows.append(row)
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)

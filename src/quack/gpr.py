@@ -107,13 +107,14 @@ def fit(X, y, hp: GprHyperparams, qubit_ceiling: int = qkernel.DEFAULT_QUBIT_CEI
 
 
 def factor_and_solve(
-    gram: np.ndarray, noise_var: float, resid: np.ndarray, kind: str
+    gram: np.ndarray, noise_var: float, resid: np.ndarray, kind: str, first_rung: int = 0
 ) -> tuple[np.ndarray, float, np.ndarray]:
     """Climb the jitter ladder on gram + noise_var I and solve against resid.
 
     Returns the lower Cholesky factor of gram + (noise_var + jitter) I at
-    the first rung that factors, that jitter, and the factor's solve
-    against ``resid``.  ``kind`` only names the kernel in the error.
+    the first rung from ``first_rung`` on that factors, that jitter, and
+    the factor's solve against ``resid``.  ``kind`` only names the kernel
+    in the error.
 
     Raises
     ------
@@ -122,7 +123,7 @@ def factor_and_solve(
     """
     c = resid.shape[0]
     noisy = gram + noise_var * np.eye(c)
-    for jitter in JITTER_LADDER:
+    for jitter in JITTER_LADDER[first_rung:]:
         try:
             chol = cholesky(noisy + jitter * np.eye(c), lower=True)
         except LinAlgError:

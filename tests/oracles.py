@@ -112,3 +112,20 @@ def expected_improvement(mean: float, sd: float, incumbent: float) -> float:
     cdf = 0.5 * math.erfc(-delta / math.sqrt(2.0))
     pdf = math.exp(-0.5 * delta * delta) / math.sqrt(2.0 * math.pi)
     return sd * (delta * cdf + pdf)
+
+
+def log_expected_improvement(mean: float, sd: float, incumbent: float) -> float:
+    """log E[max(0, g - incumbent)] for g ~ N(mean, sd^2) in 60-digit
+    arithmetic (mpmath), from the closed form above; -inf where EI is 0.
+
+    The float inputs are taken exactly, so only the result is rounded.
+    """
+    import mpmath
+
+    with mpmath.workdps(60):
+        gap = mpmath.mpf(mean) - mpmath.mpf(incumbent)
+        if sd == 0.0:
+            return float(mpmath.log(gap)) if gap > 0 else -math.inf
+        delta = gap / mpmath.mpf(sd)
+        h = delta * mpmath.ncdf(delta) + mpmath.npdf(delta)
+        return float(mpmath.log(mpmath.mpf(sd)) + mpmath.log(h))

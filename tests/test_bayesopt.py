@@ -8,23 +8,25 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import solve_triangular
 from scipy.optimize import OptimizeResult
 from scipy.stats import norm, qmc
 
-from oracles import expected_improvement
-from quack import bayesopt, gpr
+from oracles import expected_improvement, log_expected_improvement
+from quack import bayesopt, experiments, gpr
 from quack.bayesopt import (
     LOG_EI_FLOOR,
     SearchSpace,
     Surrogate,
+    SurrogateFactors,
     Trial,
+    TunerCounts,
     fit_surrogate,
     log_ei,
     propose_next,
     sobol_init,
     tune,
 )
+from quack.config import load_config
 from quack.errors import ConfigError, InputError
 
 UNIT3 = SearchSpace(dims=(("a", 0.0, 1.0), ("b", 0.0, 1.0), ("c", 0.0, 1.0)))
@@ -139,6 +141,29 @@ class TestLogEi:
         assert log_ei(0.5, 0.0, 1.0) == LOG_EI_FLOOR
         assert np.isfinite(LOG_EI_FLOOR)
 
+    def test_vectorized_matches_extended_precision(self):
+        # One array call across every branch: delta > -1, the erfcx tail
+        # [-30, -1], the series below -30, and sd = 0 on either side of f*.
+        pytest.importorskip("mpmath")
+        incumbent = 0.4
+        deltas = (3.0, 0.0, -0.99, -1.0, -1.5, -5.0, -10.0, -29.9, -30.0, -50.0, -200.0)
+        means, sds = [], []
+        for sd in (0.3, 1.0, 2.5):
+            for delta in deltas:
+                means.append(incumbent + delta * sd)
+                sds.append(sd)
+        means += [incumbent + 0.25, incumbent, incumbent - 0.25]
+        sds += [0.0, 0.0, 0.0]
+        got = log_ei(np.array(means), np.array(sds), incumbent)
+        assert got.shape == (len(means),)
+        for value, mean, sd in zip(got, means, sds):
+            ref = log_expected_improvement(mean, sd, incumbent)
+            if math.isinf(ref):
+                assert value == LOG_EI_FLOOR
+            else:
+                assert value == pytest.approx(ref, rel=1e-9)
+            assert value == log_ei(mean, sd, incumbent)
+
     def test_same_argmax_as_ei_on_grid(self):
         means = np.linspace(-2.0, 2.0, 201)
         incumbent, sd = 0.4, 0.7
@@ -164,10 +189,10 @@ def _posterior(surrogate, u):
     """Reference mean and sd at a unit point, by the operations of a GP
     posterior: k from the kernel formula, mean k . solve, variance
     1 - |L^-1 k|^2 (clamped at 0); the prior for a prior-only surrogate."""
-    if surrogate.chol is None:
+    if surrogate.chol_inv is None:
         return 0.0, 1.0
     k = _matern52(surrogate.units, u, surrogate.lengthscale)
-    half = solve_triangular(surrogate.chol, k, lower=True)
+    half = surrogate.chol_inv @ k
     return float(k @ surrogate.solve), math.sqrt(max(1.0 - float(half @ half), 0.0))
 
 
@@ -178,7 +203,7 @@ class TestSurrogate:
             Trial(theta=np.array([0.8, 0.8, 0.8]), value=1.0, phase="sobol"),
         ]
         surrogate = fit_surrogate(trials, UNIT3)
-        assert surrogate.units is None and surrogate.chol is None and surrogate.solve is None
+        assert surrogate.units is None and surrogate.chol_inv is None and surrogate.solve is None
         assert surrogate.lengthscale == 1.0
 
     def test_posterior_mean_interpolates_trials(self):
@@ -256,10 +281,10 @@ class TestAnalyticAcquisition:
         self._check(_SURROGATE, u, self._incumbent_for(_SURROGATE, u, delta))
 
     def test_clamped_variance_branch(self):
-        # Halving the factor makes |L^-1 k|^2 exceed 1 near the data, so the
-        # variance clamps on a whole neighbourhood, as rounding clamps it on
-        # ill-conditioned surrogates; log-EI is then log(mean - f*).
-        clamped = dataclasses.replace(_SURROGATE, chol=0.5 * _SURROGATE.chol)
+        # Doubling the inverse factor makes |L^-1 k|^2 exceed 1 near the data,
+        # so the variance clamps on a whole neighbourhood, as rounding clamps
+        # it on ill-conditioned surrogates; log-EI is then log(mean - f*).
+        clamped = dataclasses.replace(_SURROGATE, chol_inv=2.0 * _SURROGATE.chol_inv)
         u = UNIT3.to_unit(_TRIALS[0].theta)
         mean, sd = _posterior(clamped, u)
         assert sd == 0.0
@@ -299,22 +324,112 @@ class TestSurrogateGrid:
         best = int(np.argmax(mlls))
         surrogate = fit_surrogate(trials, UNIT3)
         assert (surrogate.lengthscale, surrogate.noise_var) == (lengthscales[best], noises[best])
-        assert _close(surrogate.chol @ surrogate.chol.T, regularized[best])
+        inv = surrogate.chol_inv
+        assert _close(inv @ regularized[best] @ inv.T, np.eye(m))
         assert _close(regularized[best] @ surrogate.solve, zvals)
+
+
+def _direct_scores(unit, zvals, ridge):
+    """Every grid point's MLL by dense slogdet and solve, with no factor."""
+    lengthscales, _ = bayesopt._surrogate_grid()
+    m = zvals.shape[0]
+    regularized = np.stack([
+        _matern52(unit[:, None, :], unit[None, :, :], l) + r * np.eye(m)
+        for l, r in zip(lengthscales, ridge)
+    ])
+    sign, logdet = np.linalg.slogdet(regularized)
+    assert np.all(sign > 0)
+    quad = np.einsum("i,gi->g", zvals, np.linalg.solve(regularized, zvals[None, :, None])[..., 0])
+    return -0.5 * quad - 0.5 * logdet - 0.5 * m * math.log(2.0 * math.pi), regularized
+
+
+@pytest.fixture(scope="module")
+def tuned_trials():
+    """kind -> the 50 trials (unit points, values) of a default tune."""
+    out = {}
+    for kind in ("iqp", "rbf", "matern"):
+        cfg = load_config(env={})
+        cfg.kernel = kind
+        tuned = experiments.run_tune(cfg, experiments.build_series(cfg))
+        space = experiments.search_space_for(cfg)
+        unit = np.array([space.to_unit(t.theta) for t in tuned.trace.trials])
+        out[kind] = (unit, np.array([t.value for t in tuned.trace.trials]))
+    return out
+
+
+class TestSurrogateFactors:
+    @pytest.mark.parametrize("kind", ["iqp", "rbf", "matern"])
+    def test_every_grid_score_matches_direct_inversion(self, tuned_trials, kind):
+        unit, values = tuned_trials[kind]
+        factors = SurrogateFactors(unit.shape[1], 49)
+        for m in range(2, 50):
+            factors.extend(unit[:m])
+            zvals = (values[:m] - values[:m].mean()) / values[:m].std()
+            scores, _ = factors.scores(zvals)
+            direct, _ = _direct_scores(unit[:m], zvals, factors.ridge)
+            assert _close(scores, direct), f"m={m}"
+        assert factors.counts.refactors == 0
+
+    def test_small_pivot_refactors_at_next_rung(self, tuned_trials):
+        unit, values = tuned_trials["iqp"]
+        m = 30
+        factors = SurrogateFactors(unit.shape[1], m)
+        factors.extend(unit[: m - 1])
+        g = int(np.argmax(factors.lengthscales))
+        # A tenfold inverse factor makes |l|^2 about 100 times its true value
+        # for a point next to a trial, so d^2 = 1 + noise + jitter - |l|^2 < 0.
+        factors.chol_inv[g, : m - 1, : m - 1] *= 10.0
+        near = np.clip(unit[0] + 1e-3, 0.0, 1.0)
+        factors.extend(np.vstack([unit[: m - 1], near]))
+        assert factors.counts.refactors == 1
+        assert factors.rungs[g] == 1 and np.count_nonzero(factors.rungs) == 1
+        assert factors.ridge[g] == factors.noises[g] + gpr.JITTER_LADDER[1]
+        points = np.vstack([unit[: m - 1], near])
+        zvals = (values[:m] - values[:m].mean()) / values[:m].std()
+        scores, _ = factors.scores(zvals)
+        direct, regularized = _direct_scores(points, zvals, factors.ridge)
+        assert _close(scores, direct)
+        inv = factors.chol_inv[g, :m, :m]
+        assert _close(inv @ regularized[g] @ inv.T, np.eye(m))
+
+    def test_fit_surrogate_extends_the_given_factors(self):
+        trials = _quadratic_trials(UNIT3, n=20, seed=3)
+        factors = SurrogateFactors(3, 20)
+        fit_surrogate(trials[:12], UNIT3, factors)
+        grown = fit_surrogate(trials, UNIT3, factors)
+        fresh = fit_surrogate(trials, UNIT3)
+        assert factors.size == 20
+        assert (grown.lengthscale, grown.noise_var) == (fresh.lengthscale, fresh.noise_var)
+        assert np.array_equal(grown.chol_inv, fresh.chol_inv)
+        assert np.array_equal(grown.solve, fresh.solve)
+
+
+def _screen_reference(surrogate, incumbent, seed):
+    """The screen's points and their log-EI at the reference posterior."""
+    screen = bayesopt._sobol_unit(3, bayesopt._SCREEN_SIZE, seed=seed, scramble=True)
+    incumbent_std = surrogate.standardize_value(incumbent)
+    return screen, np.array([_log_ei_at(surrogate, u, incumbent_std) for u in screen])
 
 
 class TestProposeNext:
     def test_one_lbfgsb_run_per_restart(self, monkeypatch):
-        calls = []
+        # restarts counts the polishes; they start at the top screened points, best first
+        starts = []
         real_minimize = bayesopt.minimize
 
-        def counting_minimize(*args, **kwargs):
-            calls.append(kwargs["options"]["maxiter"])
-            return real_minimize(*args, **kwargs)
+        def recording_minimize(fun, x0, **kwargs):
+            starts.append((x0.copy(), kwargs["options"]["maxiter"]))
+            return real_minimize(fun, x0, **kwargs)
 
-        monkeypatch.setattr(bayesopt, "minimize", counting_minimize)
-        propose_next(_SURROGATE, UNIT3, max(t.value for t in _TRIALS), restarts=5, seed=2)
-        assert calls == [100] * 5
+        monkeypatch.setattr(bayesopt, "minimize", recording_minimize)
+        incumbent = max(t.value for t in _TRIALS)
+        counts = TunerCounts()
+        propose_next(_SURROGATE, UNIT3, incumbent, restarts=5, seed=2, counts=counts)
+        screen, reference = _screen_reference(_SURROGATE, incumbent, seed=2)
+        top = np.argsort(-reference, kind="stable")[:5]
+        assert [maxiter for _, maxiter in starts] == [100] * 5
+        assert np.array_equal(np.array([x0 for x0, _ in starts]), screen[top])
+        assert counts == TunerCounts(lbfgs_runs=5)
 
     @pytest.mark.parametrize("failure", ["raises", "non_finite"])
     def test_all_starts_failed_takes_best_start(self, monkeypatch, failure):
@@ -323,19 +438,20 @@ class TestProposeNext:
                 raise ValueError("synthetic failure")
             return OptimizeResult(x=x0, fun=math.nan)
 
+        # with every polish failed, the proposal is the best screened point
         monkeypatch.setattr(bayesopt, "minimize", failing_minimize)
         incumbent = max(t.value for t in _TRIALS)
-        proposal = propose_next(_SURROGATE, UNIT3, incumbent, restarts=8, seed=4)
-        starts = bayesopt._sobol_unit(3, 8, seed=4, scramble=True)
-        incumbent_std = _SURROGATE.standardize_value(incumbent)
-        reference = [_log_ei_at(_SURROGATE, start, incumbent_std) for start in starts]
-        assert np.array_equal(proposal, UNIT3.from_unit(starts[int(np.argmax(reference))]))
+        counts = TunerCounts()
+        proposal = propose_next(_SURROGATE, UNIT3, incumbent, restarts=3, seed=4, counts=counts)
+        screen, reference = _screen_reference(_SURROGATE, incumbent, seed=4)
+        assert np.array_equal(proposal, UNIT3.from_unit(screen[int(np.argmax(reference))]))
+        assert counts == TunerCounts(lbfgs_runs=3, lbfgs_failed=3, fallbacks=1)
 
     def test_prior_only_surrogate_keeps_first_start(self):
         trials = [Trial(theta=np.full(3, x), value=1.0, phase="sobol") for x in (0.2, 0.8)]
         surrogate = fit_surrogate(trials, UNIT3)
         proposal = propose_next(surrogate, UNIT3, 1.0, restarts=4, seed=3)
-        first = bayesopt._sobol_unit(3, 4, seed=3, scramble=True)[0]
+        first = bayesopt._sobol_unit(3, bayesopt._SCREEN_SIZE, seed=3, scramble=True)[0]
         assert np.array_equal(proposal, UNIT3.from_unit(first))
 
     def test_recovers_1d_quadratic_maximizer(self):
@@ -375,6 +491,18 @@ class TestProposeNext:
 
 
 class TestTune:
+    def test_tiny_budget_counts(self, monkeypatch):
+        def objective(theta):
+            return -float(np.sum((theta - 0.3) ** 2))
+
+        trace = tune(objective, UNIT3, n0=4, n_query=3, seed=1, restarts=2)
+        assert trace.counts == TunerCounts(lbfgs_runs=6)
+        monkeypatch.setattr(
+            bayesopt, "minimize", lambda fun, x0, **kwargs: OptimizeResult(x=x0, fun=math.nan)
+        )
+        trace = tune(objective, UNIT3, n0=4, n_query=3, seed=1, restarts=2)
+        assert trace.counts == TunerCounts(lbfgs_runs=6, lbfgs_failed=6, fallbacks=3)
+
     def test_trace_length_and_phases(self):
         def objective(theta):
             return -float(np.sum(theta**2))

@@ -196,6 +196,10 @@ class TestTuneCommand:
         tuned = json.loads((tmp_path / "tune_iqp" / "tuned.json").read_text())
         assert set(tuned["theta"]) == {"alpha", "noise_var", "mean_const"}
         assert 0.0 <= tuned["theta"]["alpha"] <= 1.0
+        # two BO steps, each polishing restarts = 4 screened points
+        assert tuned["tuner"] == {
+            "lbfgs_runs": 8, "lbfgs_failed": 0, "fallbacks": 0, "refactors": 0,
+        }
 
 
 class TestPredictCommand:
@@ -366,6 +370,20 @@ class TestRunRecords:
             record = json.loads((root / "matern" / f"nu_{nu}" / "record.json").read_text())
             assert record["config"]["kernel"] == "matern"
             assert record["config"]["matern_nu"] == nu
+
+    def test_matern_all_names_the_selected_nu(self, tmp_path):
+        cfg_path = _write_config(tmp_path, self.TINY_BO)
+        args = ["--config", str(cfg_path), "--out", str(tmp_path), "compare", "--matern-all"]
+        assert cli.main(args) == 0
+        root = tmp_path / "compare" / "matern"
+        records = {
+            nu: json.loads((root / f"nu_{nu}" / "record.json").read_text())
+            for nu in kernels.MATERN_NUS
+        }
+        ll_totals = {nu: record["evaluation"]["ll_total"] for nu, record in records.items()}
+        selected = json.loads((root / "selected.json").read_text())
+        assert selected["matern_nu"] == max(ll_totals, key=ll_totals.get)
+        assert selected["ll_total"] == max(ll_totals.values())
 
 
 class TestTunedFile:
