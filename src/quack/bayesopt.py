@@ -22,11 +22,7 @@ its posterior from them directly.
 Each proposal screens 1023 scrambled Sobol points with one vectorized
 log-EI call and polishes the best ``restarts`` of them with L-BFGS-B, as
 BoTorch's ``optimize_acqf`` screens raw samples (Balandat et al., NeurIPS
-2020).  On the default ``quack ablate --seed-data 7 --seed-bo 8`` with
-one BLAS thread on a 2-CPU x86 host, the six tunes took 2.2 s against
-6.7 s with 16 L-BFGS-B starts and per-step factorizations: 300 L-BFGS-B
-runs instead of 2400, 0.21 s of surrogate fits instead of 2.18 s, and
-the objective (1.05 s) is the largest part.
+2020).
 
 The tune loop is inherently sequential; each proposal depends on all
 prior results.  Sobol-phase evaluations and polishes are independent and
@@ -239,18 +235,16 @@ class Surrogate:
     It is the winner of the surrogate grid as scored: ``units`` holds the
     trials' unit-cube points as rows, ``chol_inv`` the inverse L^-1 of
     the lower Cholesky factor of K + (noise_var + jitter) I and ``solve``
-    (K + (noise_var + jitter) I)^-1 z for the standardized values z.  All
-    three are None for the degenerate all-equal-values fallback, where the
-    posterior is the prior: zero mean, unit sd (standardized units).
+    (K + (noise_var + jitter) I)^-1 z for the standardized values z.
     """
 
     value_mean: float
     value_sd: float
     lengthscale: float
     noise_var: float
-    units: np.ndarray | None = None
-    chol_inv: np.ndarray | None = None
-    solve: np.ndarray | None = None
+    units: np.ndarray
+    chol_inv: np.ndarray
+    solve: np.ndarray
 
     def standardize_value(self, value: float) -> float:
         return (value - self.value_mean) / self.value_sd
@@ -352,9 +346,10 @@ def fit_surrogate(
     and keeps the first best one, with its inverse factor and solve.
     ``factors`` carries the grid's inverse factors from earlier calls on
     a prefix of these trials and is extended by the new ones; without it
-    the factors are built here.  Requires at least two trials.  All-equal
-    values (zero spread) fall back to a prior-only surrogate with unit
-    lengthscale.
+    the factors are built here.  Requires at least two trials.  Values
+    with no spread are fitted like any others, with unit scale: z = 0, so
+    the posterior mean is zero and the proposal goes where the sd is
+    largest.
     """
     if len(trials) < 2:
         raise InputError(f"surrogate needs >= 2 trials, got {len(trials)}")
@@ -363,10 +358,7 @@ def fit_surrogate(
     value_mean = float(values.mean())
     value_sd = float(values.std())
     if value_sd < 1e-12:
-        return Surrogate(
-            value_mean=value_mean, value_sd=1.0,
-            lengthscale=1.0, noise_var=_SURROGATE_NOISE_BOUNDS[0],
-        )
+        value_sd = 1.0
     unit = np.array([space.to_unit(t) for t in thetas])
     zvals = (values - value_mean) / value_sd
     if factors is None:
@@ -386,11 +378,8 @@ def fit_surrogate(
 def _posterior(surrogate: Surrogate, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Standardized posterior mean and sd at each row of ``points``.
 
-    The variance 1 - |L^-1 k|^2 is clamped at 0; the prior-only surrogate
-    gives mean 0 and sd 1 everywhere.
+    The mean is k . solve and the variance 1 - |L^-1 k|^2, clamped at 0.
     """
-    if surrogate.chol_inv is None:
-        return np.zeros(points.shape[0]), np.ones(points.shape[0])
     units = surrogate.units
     sqdist = sum((points[:, j, None] - units[:, j]) ** 2 for j in range(units.shape[1]))
     k = kernels._matern_from_scaled(np.sqrt(sqdist) / surrogate.lengthscale, 2.5)
@@ -418,12 +407,8 @@ def _acquisition_with_grad(surrogate: Surrogate, incumbent_std: float):
 
     log h and Phi / h come from :func:`_log_h`, as in :func:`log_ei`.  A
     clamped variance (sd = 0) leaves log(mean - f*), with gradient
-    grad mean / (mean - f*), or the floor with gradient 0.  The
-    prior-only surrogate is flat: its gradient is zero everywhere.
+    grad mean / (mean - f*), or the floor with gradient 0.
     """
-    if surrogate.chol_inv is None:
-        value = log_ei(0.0, 1.0, incumbent_std)
-        return lambda u: (-value, np.zeros(u.shape[0]))
     train = surrogate.units
     alpha = surrogate.solve
     chol_inv = surrogate.chol_inv

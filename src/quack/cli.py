@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Subcommands: generate, tune, predict, compare, landscape, ablate.  Exit
-codes: 0 success, 2 config error, 3 data error, 4 numerical error.
+code 0 on success, else the ``exit_code`` of the package error raised
+(see :mod:`quack.errors`).
 """
 
 from __future__ import annotations
@@ -11,21 +12,9 @@ import json
 import sys
 from pathlib import Path
 
-from . import experiments, timeseries
+from . import experiments
 from .config import describe_schema, load_config
-from .errors import (
-    ConfigError,
-    DataError,
-    InputError,
-    NumericalError,
-    ParameterError,
-    QuackError,
-    ResourceError,
-)
-
-EXIT_CONFIG = 2
-EXIT_DATA = 3
-EXIT_NUMERICAL = 4
+from .errors import ConfigError, QuackError
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -117,18 +106,9 @@ def main(argv=None) -> int:
         cfg.validate()
         out = _out_dir(args, cfg)
         return _dispatch(args, cfg, out)
-    except (ConfigError, ParameterError, InputError, ResourceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except QuackError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return exc.exit_code
 
 
 def _dispatch(args, cfg, out: Path) -> int:
@@ -168,10 +148,10 @@ def _dispatch(args, cfg, out: Path) -> int:
         print("  ".join(f"{h:>10}" for h in header))
         for row in rows:
             if row.evaluation is None:
-                print(f"{row.kind:>10}  failed: {row.error}")
+                print(f"{row.label:>10}  failed: {row.error}")
                 continue
             ev = row.evaluation.as_dict()
-            cells = [f"{row.kind:>10}"] + [
+            cells = [f"{row.label:>10}"] + [
                 f"{ev[name]:10.6f}" for name in experiments.metrics.Evaluation.METRIC_FIELDS
             ]
             print("  ".join(cells))
@@ -187,10 +167,10 @@ def _dispatch(args, cfg, out: Path) -> int:
         rows = experiments.run_ablate(cfg, out / "ablate")
         print("qubits  ll_total      mae")
         for row in rows:
-            if row.error:
-                print(f"{row.qubits:>6}  failed: {row.error}")
+            if row.evaluation is None:
+                print(f"{row.label:>6}  failed: {row.error}")
             else:
-                print(f"{row.qubits:>6}  {row.ll_total:>10.4f}  {row.mae:.6f}")
+                print(f"{row.label:>6}  {row.evaluation.ll_total:>10.4f}  {row.evaluation.mae:.6f}")
         return 0
 
     raise ConfigError(f"unknown command {args.command!r}")

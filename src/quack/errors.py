@@ -1,12 +1,15 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto process exit codes: configuration problems exit
-with 2, data problems with 3, numerical failures with 4.
+Each class carries the process exit code the CLI returns for it:
+configuration problems exit with 2, data problems with 3, numerical
+failures with 4.
 """
 
 
 class QuackError(Exception):
     """Base class for all package errors."""
+
+    exit_code = 2
 
 
 class InputError(QuackError, ValueError):
@@ -26,8 +29,12 @@ class ConfigError(QuackError, ValueError):
 
 
 class DataError(QuackError, ValueError):
-    """Unusable input data: unparseable files, degenerate series."""
+    """Unusable input data: a degenerate series, too few points for a window."""
+
+    exit_code = 3
 
 
 class NumericalError(QuackError, RuntimeError):
     """A numerical routine failed beyond recovery (e.g. Cholesky breakdown)."""
+
+    exit_code = 4

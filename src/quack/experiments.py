@@ -188,18 +188,6 @@ def run_record(cfg: ExperimentConfig, result: PredictResult) -> dict:
         "kind": result.kind,
         "config": snapshot(cfg),
         "theta": result.theta,
-        "posteriors": [
-            {
-                "index": int(result.target_indices[i]),
-                "target": float(result.targets[i]),
-                "mean": float(result.means[i]),
-                "var_latent": float(result.var_latent[i]),
-                "var_predictive": float(result.var_predictive[i]),
-                "lower95": float(result.means[i] - Z95 * np.sqrt(result.var_predictive[i])),
-                "upper95": float(result.means[i] + Z95 * np.sqrt(result.var_predictive[i])),
-            }
-            for i in range(result.targets.shape[0])
-        ],
         "evaluation": result.evaluation.as_dict(),
         "timings": {"predict_s": result.seconds},
     }
@@ -217,15 +205,69 @@ def tune_and_predict(
 
 
 @dataclass
-class CompareRow:
-    kind: str
+class SweepRow:
+    """One unit of a sweep: a kernel of ``compare`` or a window length of ``ablate``.
+
+    ``evaluation`` and ``theta`` are those of the unit's best run by test
+    ``ll_total``, and ``matern_nu`` is that run's smoothness when the
+    kernel is Matern.  A unit whose run raised has no evaluation and its
+    ``error`` set.
+    """
+
+    label: str
     evaluation: metrics.Evaluation | None
     theta: dict[str, float] | None
     error: str | None = None
     matern_nu: float | None = None
 
 
-def run_compare(cfg: ExperimentConfig, out_dir: Path | None = None) -> list[CompareRow]:
+def _sweep(
+    units: list[tuple[str, list[tuple[ExperimentConfig, str]]]],
+    series: timeseries.Series,
+    out_dir: Path | None,
+) -> list[SweepRow]:
+    """Tune and predict every run of every unit, one row per unit.
+
+    ``units`` pairs each label with its runs: a config and the run's
+    directory under ``out_dir``.  A unit keeps its best run by test
+    ``ll_total``.  A unit that raises is recorded with its error and the
+    sweep continues; ``failures.json`` maps each such label to its error.
+    """
+    rows: list[SweepRow] = []
+    for label, runs in units:
+        try:
+            row = None
+            for run_cfg, rel in runs:
+                run_dir = out_dir / rel if out_dir is not None else None
+                tuned, pred = tune_and_predict(run_cfg, series, run_dir, run_dir)
+                if row is None or pred.evaluation.ll_total > row.evaluation.ll_total:
+                    nu = run_cfg.matern_nu if run_cfg.kernel == "matern" else None
+                    row = SweepRow(label, pred.evaluation, tuned.theta, matern_nu=nu)
+        except Exception as exc:  # noqa: BLE001 - per-unit isolation is the contract
+            row = SweepRow(label, None, None, error=str(exc) or repr(exc))
+        rows.append(row)
+    if out_dir is not None:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        failures = {row.label: row.error for row in rows if row.error}
+        if failures:
+            (out_dir / "failures.json").write_text(json.dumps(failures, indent=2) + "\n")
+    return rows
+
+
+def _write_table(path: Path, first: str, rows: list[SweepRow], fields: tuple[str, ...]) -> None:
+    """One line per row: its label, then the ``fields`` of its evaluation (nan if it failed)."""
+    lines = [",".join((first, *fields))]
+    for row in rows:
+        if row.evaluation is None:
+            cells = ["nan"] * len(fields)
+        else:
+            ev = row.evaluation.as_dict()
+            cells = [_fmt(ev[name]) for name in fields]
+        lines.append(",".join((row.label, *cells)))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def run_compare(cfg: ExperimentConfig, out_dir: Path | None = None) -> list[SweepRow]:
     """Tune, predict and evaluate every kernel on the same series and split.
 
     Each run gets its own config, ``cfg`` with that run's kernel and
@@ -234,68 +276,38 @@ def run_compare(cfg: ExperimentConfig, out_dir: Path | None = None) -> list[Comp
     are tuned separately, the best by test log likelihood is reported, and
     ``matern/selected.json`` names its ``nu``.
     """
-    series = build_series(cfg)
-    rows: list[CompareRow] = []
+    units = []
     for kind in kernels.KERNEL_KINDS:
-        kind_dir = out_dir / kind if out_dir is not None else None
-        run_cfg = dataclasses.replace(cfg, kernel=kind)
+        kind_cfg = dataclasses.replace(cfg, kernel=kind)
         if kind == "matern" and cfg.matern_all:
             runs = [
-                (dataclasses.replace(run_cfg, matern_nu=nu),
-                 kind_dir / f"nu_{nu}" if kind_dir is not None else None)
+                (dataclasses.replace(kind_cfg, matern_nu=nu), f"{kind}/nu_{nu}")
                 for nu in kernels.MATERN_NUS
             ]
         else:
-            runs = [(run_cfg, kind_dir)]
-        try:
-            row = None
-            for sub_cfg, sub in runs:
-                tuned, pred = tune_and_predict(sub_cfg, series, sub, sub)
-                if row is None or pred.evaluation.ll_total > row.evaluation.ll_total:
-                    nu = sub_cfg.matern_nu if kind == "matern" else None
-                    row = CompareRow(kind=kind, evaluation=pred.evaluation, theta=tuned.theta,
-                                     matern_nu=nu)
-        except Exception as exc:  # noqa: BLE001 - per-kernel isolation is the contract
-            row = CompareRow(kind=kind, evaluation=None, theta=None, error=str(exc))
-        if kind == "matern" and cfg.matern_all and row.error is None and kind_dir is not None:
-            selected = {"matern_nu": row.matern_nu, "ll_total": row.evaluation.ll_total}
-            (kind_dir / "selected.json").write_text(json.dumps(selected, indent=2) + "\n")
-        rows.append(row)
+            runs = [(kind_cfg, kind)]
+        units.append((kind, runs))
+    rows = _sweep(units, build_series(cfg), out_dir)
     if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _write_compare_tables(out_dir, rows)
+        matern = rows[kernels.KERNEL_KINDS.index("matern")]
+        if cfg.matern_all and matern.evaluation is not None:
+            selected = {"matern_nu": matern.matern_nu, "ll_total": matern.evaluation.ll_total}
+            (out_dir / "matern" / "selected.json").write_text(json.dumps(selected, indent=2) + "\n")
+        fields = metrics.Evaluation.METRIC_FIELDS
+        _write_table(out_dir / "table.csv", "kernel", rows, fields)
+        flags = compare_flags(rows)
+        flag_lines = [",".join(("kernel", *fields))]
+        flag_lines += [",".join((row.label, *flags[row.label])) for row in rows]
+        (out_dir / "flags.csv").write_text("\n".join(flag_lines) + "\n")
     return rows
 
 
-def _write_compare_tables(out_dir: Path, rows: list[CompareRow]) -> None:
-    header = "kernel," + ",".join(metrics.Evaluation.METRIC_FIELDS)
-    table_lines = [header]
-    for row in rows:
-        if row.evaluation is None:
-            cells = ["nan"] * len(metrics.Evaluation.METRIC_FIELDS)
-        else:
-            ev = row.evaluation.as_dict()
-            cells = [_fmt(ev[name]) for name in metrics.Evaluation.METRIC_FIELDS]
-        table_lines.append(row.kind + "," + ",".join(cells))
-    (out_dir / "table.csv").write_text("\n".join(table_lines) + "\n")
-
-    flag_lines = [header]
-    flags = compare_flags(rows)
-    for row in rows:
-        flag_lines.append(row.kind + "," + ",".join(flags[row.kind]))
-    (out_dir / "flags.csv").write_text("\n".join(flag_lines) + "\n")
-
-    failures = {row.kind: row.error for row in rows if row.error}
-    if failures:
-        (out_dir / "failures.json").write_text(json.dumps(failures, indent=2) + "\n")
-
-
-def compare_flags(rows: list[CompareRow]) -> dict[str, list[str]]:
+def compare_flags(rows: list[SweepRow]) -> dict[str, list[str]]:
     """Best / second-best markers per metric column; LL ranks descending."""
-    out = {row.kind: [""] * len(metrics.Evaluation.METRIC_FIELDS) for row in rows}
+    out = {row.label: [""] * len(metrics.Evaluation.METRIC_FIELDS) for row in rows}
     for col, name in enumerate(metrics.Evaluation.METRIC_FIELDS):
         scored = [
-            (row.evaluation.as_dict()[name], row.kind)
+            (row.evaluation.as_dict()[name], row.label)
             for row in rows
             if row.evaluation is not None
         ]
@@ -347,51 +359,27 @@ def run_landscape(cfg: ExperimentConfig, alpha: float, out_dir: Path | None = No
     return axis, values
 
 
-@dataclass
-class AblateRow:
-    qubits: int
-    ll_total: float | None
-    mae: float | None
-    theta: dict[str, float] | None = None
-    error: str | None = None
-
-
-def run_ablate(cfg: ExperimentConfig, out_dir: Path | None = None) -> list[AblateRow]:
+def run_ablate(cfg: ExperimentConfig, out_dir: Path | None = None) -> list[SweepRow]:
     """Retune and re-predict the quantum model at each window length.
 
     Uses the ablation profile: longer series and wider window overlap so
     the larger windows keep enough training pairs.  Each size runs from
     its own config, ``cfg`` with the IQP kernel, that window, the
-    ablation overlap and the ablation series length.  Per-size failures
-    are recorded and the sweep continues.
+    ablation overlap and the ablation series length; its row's label is
+    the window length.  Per-size failures are recorded and the sweep
+    continues.
     """
     base = dataclasses.replace(
         cfg, kernel="iqp", train_overlap=cfg.ablate_train_overlap,
         gen=dataclasses.replace(cfg.gen, n_steps=cfg.ablate_n_steps),
     )
-    series = build_series(base)
-    rows: list[AblateRow] = []
-    for w in cfg.ablate_qubits:
-        sub = out_dir / f"qubits_{w}" if out_dir is not None else None
-        try:
-            tuned, pred = tune_and_predict(dataclasses.replace(base, window=w), series, sub, sub)
-            rows.append(AblateRow(
-                qubits=w, ll_total=pred.evaluation.ll_total,
-                mae=pred.evaluation.mae, theta=tuned.theta,
-            ))
-        except Exception as exc:  # noqa: BLE001 - per-size isolation is the contract
-            rows.append(AblateRow(qubits=w, ll_total=None, mae=None, error=str(exc)))
+    units = [
+        (str(w), [(dataclasses.replace(base, window=w), f"qubits_{w}")])
+        for w in cfg.ablate_qubits
+    ]
+    rows = _sweep(units, build_series(base), out_dir)
     if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        lines = ["qubits,ll_total,mae"]
-        for row in rows:
-            ll = "nan" if row.ll_total is None else _fmt(row.ll_total)
-            mae = "nan" if row.mae is None else _fmt(row.mae)
-            lines.append(f"{row.qubits},{ll},{mae}")
-        (out_dir / "ablate.csv").write_text("\n".join(lines) + "\n")
-        failures = {str(row.qubits): row.error for row in rows if row.error}
-        if failures:
-            (out_dir / "failures.json").write_text(json.dumps(failures, indent=2) + "\n")
+        _write_table(out_dir / "ablate.csv", "qubits", rows, ("ll_total", "mae"))
     return rows
 
 

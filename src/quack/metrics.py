@@ -14,7 +14,7 @@ Everything is pure and permutation-invariant over the test set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -46,12 +46,7 @@ class Evaluation:
     METRIC_FIELDS = ("smape", "wape", "mape", "rmse", "mae", "mse", "mcrps", "ll_total")
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "smape": self.smape, "wape": self.wape, "mape": self.mape,
-            "rmse": self.rmse, "mae": self.mae, "mse": self.mse,
-            "mcrps": self.mcrps, "ll_mean": self.ll_mean, "ll_total": self.ll_total,
-            "mape_skipped": self.mape_skipped, "smape_skipped": self.smape_skipped,
-        }
+        return asdict(self)
 
 
 class PercentageLosses(NamedTuple):

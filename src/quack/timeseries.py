@@ -1,4 +1,4 @@
-"""Synthetic series generation, standardization, windowing and CSV IO.
+"""Synthetic series generation, standardization, windowing and CSV output.
 
 A generated series is a continuous piecewise-linear trend (slope sign
 alternating per segment, starting upward), two superposed sine waves and
@@ -182,41 +182,6 @@ def split(
         raise DataError("no points remain after the training segment")
     test = make_windows(series, w, overlap=w - 1, first=test_first, last=total - 1)
     return train, test
-
-
-def load_csv(path) -> Series:
-    """Read a one-column (value) or two-column (time, value) text file.
-
-    A single leading header row is tolerated; any other non-numeric row
-    is rejected with its line number, as are NaN values.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    values: list[float] = []
-    saw_data = False
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        fields = [f.strip() for f in line.split(",")]
-        if len(fields) > 2:
-            raise DataError(f"{path}:{lineno}: expected 1 or 2 columns, got {len(fields)}")
-        try:
-            value = float(fields[-1])
-        except ValueError:
-            if not saw_data and not values:
-                continue  # header row
-            raise DataError(f"{path}:{lineno}: non-numeric value {fields[-1]!r}") from None
-        if not np.isfinite(value):
-            raise DataError(f"{path}:{lineno}: non-finite value {fields[-1]!r}")
-        values.append(value)
-        saw_data = True
-    if not values:
-        raise DataError(f"{path}: no numeric rows")
-    return Series(values=np.array(values))
 
 
 def save_csv(series: Series, path) -> None:

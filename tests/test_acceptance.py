@@ -320,10 +320,10 @@ def test_criterion_7_fidelity_landscape(tmp_path):
 def test_criterion_8_ablation_harness(tmp_path):
     cfg = load_config(env={})
     rows = experiments.run_ablate(cfg, tmp_path)
-    assert [row.qubits for row in rows] == [5, 6, 7, 8, 9, 10]
+    assert [int(row.label) for row in rows] == [5, 6, 7, 8, 9, 10]
     for row in rows:
-        assert row.error is None, f"qubits={row.qubits} failed: {row.error}"
-        assert np.isfinite(row.ll_total) and np.isfinite(row.mae)
+        assert row.error is None, f"qubits={row.label} failed: {row.error}"
+        assert np.isfinite(row.evaluation.ll_total) and np.isfinite(row.evaluation.mae)
     table = (tmp_path / "ablate.csv").read_text().strip().splitlines()
     assert len(table) == 7
     _passed(8, "ablation harness")

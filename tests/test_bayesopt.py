@@ -16,7 +16,6 @@ from quack import bayesopt, experiments, gpr
 from quack.bayesopt import (
     LOG_EI_FLOOR,
     SearchSpace,
-    Surrogate,
     SurrogateFactors,
     Trial,
     TunerCounts,
@@ -188,24 +187,13 @@ def _matern52(units, u, lengthscale):
 def _posterior(surrogate, u):
     """Reference mean and sd at a unit point, by the operations of a GP
     posterior: k from the kernel formula, mean k . solve, variance
-    1 - |L^-1 k|^2 (clamped at 0); the prior for a prior-only surrogate."""
-    if surrogate.chol_inv is None:
-        return 0.0, 1.0
+    1 - |L^-1 k|^2 (clamped at 0)."""
     k = _matern52(surrogate.units, u, surrogate.lengthscale)
     half = surrogate.chol_inv @ k
     return float(k @ surrogate.solve), math.sqrt(max(1.0 - float(half @ half), 0.0))
 
 
 class TestSurrogate:
-    def test_degenerate_values_fall_back(self):
-        trials = [
-            Trial(theta=np.array([0.2, 0.2, 0.2]), value=1.0, phase="sobol"),
-            Trial(theta=np.array([0.8, 0.8, 0.8]), value=1.0, phase="sobol"),
-        ]
-        surrogate = fit_surrogate(trials, UNIT3)
-        assert surrogate.units is None and surrogate.chol_inv is None and surrogate.solve is None
-        assert surrogate.lengthscale == 1.0
-
     def test_posterior_mean_interpolates_trials(self):
         trials = _quadratic_trials(UNIT3, n=30)
         surrogate = fit_surrogate(trials, UNIT3)
@@ -291,11 +279,6 @@ class TestAnalyticAcquisition:
         self._check(clamped, u, mean - 0.5)
         value, grad = bayesopt._acquisition_with_grad(clamped, mean + 0.5)(u)
         assert value == -LOG_EI_FLOOR and not np.any(grad)
-
-    def test_prior_only_surrogate_is_flat(self):
-        flat = Surrogate(value_mean=0.0, value_sd=1.0, lengthscale=1.0, noise_var=1e-6)
-        value, grad = bayesopt._acquisition_with_grad(flat, 0.7)(np.array([0.2, 0.5, 0.9]))
-        assert value == -log_ei(0.0, 1.0, 0.7) and not np.any(grad)
 
 
 def _close(a, b, tol=1e-8):
@@ -447,12 +430,20 @@ class TestProposeNext:
         assert np.array_equal(proposal, UNIT3.from_unit(screen[int(np.argmax(reference))]))
         assert counts == TunerCounts(lbfgs_runs=3, lbfgs_failed=3, fallbacks=1)
 
-    def test_prior_only_surrogate_keeps_first_start(self):
-        trials = [Trial(theta=np.full(3, x), value=1.0, phase="sobol") for x in (0.2, 0.8)]
+    def test_all_equal_values_fit_like_any_other(self):
+        # No spread: unit scale and z = 0, so the posterior mean is zero
+        # everywhere and the proposal goes where the sd is largest.
+        trials = [Trial(theta=np.full(3, x), value=-3.7, phase="sobol") for x in (0.2, 0.5, 0.8)]
         surrogate = fit_surrogate(trials, UNIT3)
-        proposal = propose_next(surrogate, UNIT3, 1.0, restarts=4, seed=3)
-        first = bayesopt._sobol_unit(3, bayesopt._SCREEN_SIZE, seed=3, scramble=True)[0]
-        assert np.array_equal(proposal, UNIT3.from_unit(first))
+        assert surrogate.value_sd == 1.0
+        screen, reference = _screen_reference(surrogate, -3.7, seed=3)
+        for u in screen:
+            mean, sd = _posterior(surrogate, u)
+            assert abs(mean) <= 1e-12
+            assert math.isfinite(sd) and sd <= 1.0
+        proposal = propose_next(surrogate, UNIT3, -3.7, restarts=4, seed=3)
+        incumbent_std = surrogate.standardize_value(-3.7)
+        assert _log_ei_at(surrogate, UNIT3.to_unit(proposal), incumbent_std) >= reference.max()
 
     def test_recovers_1d_quadratic_maximizer(self):
         space = SearchSpace(dims=(("a", 0.0, 1.0),))

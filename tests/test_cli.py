@@ -1,5 +1,6 @@
 """Config loading, CLI subcommands, output files and determinism."""
 
+import csv
 import dataclasses
 import json
 
@@ -8,9 +9,18 @@ import pytest
 
 from quack import cli, experiments, kernels, metrics
 from quack.config import ExperimentConfig, load_config, snapshot
-from quack.errors import ConfigError
+from quack.errors import ConfigError, NumericalError
 
 FAST_BO = "n0 = 4\nn_query = 2\nrestarts = 4\n"
+
+# The documented process exit codes.
+EXIT_CONFIG, EXIT_DATA, EXIT_NUMERICAL = 2, 3, 4
+
+
+def _predictions(run_dir):
+    """The rows of a run's predictions.csv, each a dict of floats."""
+    with open(run_dir / "predictions.csv", newline="", encoding="utf-8") as fh:
+        return [{k: float(v) for k, v in row.items()} for row in csv.DictReader(fh)]
 
 
 def _write_config(tmp_path, text):
@@ -74,7 +84,7 @@ class TestConfig:
             cfg.validate()
         cfg_path = _write_config(tmp_path, "restarts = 0\n")
         code = cli.main(["--config", str(cfg_path), "--out", str(tmp_path), "tune"])
-        assert code == cli.EXIT_CONFIG
+        assert code == EXIT_CONFIG
 
     @pytest.mark.parametrize(
         "text, command",
@@ -97,7 +107,7 @@ class TestConfig:
             load_config(_write_config(tmp_path, text), env={}).validate()
         out = tmp_path / "out"
         code = cli.main(["--config", str(tmp_path / "exp.cfg"), "--out", str(out), command])
-        assert code == cli.EXIT_CONFIG
+        assert code == EXIT_CONFIG
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -114,7 +124,7 @@ class TestConfig:
         for name, value in env.items():
             monkeypatch.setenv(name, value)
         out = tmp_path / "out"
-        assert cli.main(["--out", str(out), *flags, command]) == cli.EXIT_CONFIG
+        assert cli.main(["--out", str(out), *flags, command]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
@@ -137,7 +147,7 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config().validate()
         out = tmp_path / "out"
-        assert cli.main(["--out", str(out), "compare"]) == cli.EXIT_CONFIG
+        assert cli.main(["--out", str(out), "compare"]) == EXIT_CONFIG
         assert not out.exists()
 
     def test_search_space_follows_kernel_bounds(self):
@@ -220,9 +230,10 @@ class TestPredictCommand:
         cfg_path = _write_config(tmp_path, FAST_BO)
         cli.main(["--config", str(cfg_path), "--out", str(tmp_path), "predict"])
         record = json.loads((tmp_path / "predict_iqp" / "record.json").read_text())
-        means = np.array([p["mean"] for p in record["posteriors"]])
-        variances = np.array([p["var_predictive"] for p in record["posteriors"]])
-        targets = np.array([p["target"] for p in record["posteriors"]])
+        rows = _predictions(tmp_path / "predict_iqp")
+        means = np.array([p["mean"] for p in rows])
+        variances = np.array([p["var_predictive"] for p in rows])
+        targets = np.array([p["target"] for p in rows])
         recomputed = metrics.evaluate_forecast(means, variances, targets).as_dict()
         for name, value in record["evaluation"].items():
             assert recomputed[name] == pytest.approx(value, abs=1e-12)
@@ -245,8 +256,7 @@ class TestPredictCommand:
         )
         code = cli.main(["--config", str(cfg_path), "--out", str(tmp_path), "predict"])
         assert code == 0
-        record = json.loads((tmp_path / "predict_rbf" / "record.json").read_text())
-        for p in record["posteriors"]:
+        for p in _predictions(tmp_path / "predict_rbf"):
             assert p["lower95"] - 1e-9 <= p["target"] <= p["upper95"] + 1e-9
 
 
@@ -292,7 +302,7 @@ class TestCompareCommand:
 
         monkeypatch.setattr(experiments, "run_tune", failing_tune)
         rows = experiments.run_compare(cfg, tmp_path)
-        by_kind = {row.kind: row for row in rows}
+        by_kind = {row.label: row for row in rows}
         assert by_kind["rq"].error == "synthetic failure"
         assert by_kind["rq"].evaluation is None
         assert all(by_kind[k].evaluation is not None for k in ("iqp", "rbf", "matern", "periodic"))
@@ -334,6 +344,44 @@ class TestAblateCommand:
             _, ll, mae = line.split(",")
             assert np.isfinite(float(ll)) and np.isfinite(float(mae))
 
+    def test_size_failure_recorded_sweep_continues(self, tmp_path, monkeypatch):
+        cfg = load_config(env={})
+        cfg.n0, cfg.n_query, cfg.restarts = 4, 2, 4
+        cfg.ablate_qubits, cfg.ablate_n_steps = (5, 6, 7), 120
+        real_tune_and_predict = experiments.tune_and_predict
+
+        def failing_tune_and_predict(cfg, series, tune_dir=None, predict_dir=None):
+            if cfg.window == 6:
+                raise RuntimeError("synthetic failure")
+            return real_tune_and_predict(cfg, series, tune_dir, predict_dir)
+
+        monkeypatch.setattr(experiments, "tune_and_predict", failing_tune_and_predict)
+        rows = experiments.run_ablate(cfg, tmp_path)
+        assert [row.label for row in rows] == ["5", "6", "7"]
+        assert rows[1].error == "synthetic failure" and rows[1].evaluation is None
+        assert rows[0].error is None and rows[2].error is None
+        failures = json.loads((tmp_path / "failures.json").read_text())
+        assert failures == {"6": "synthetic failure"}
+        lines = (tmp_path / "ablate.csv").read_text().strip().splitlines()
+        assert lines[2] == "6,nan,nan"
+        for line, row in zip((lines[1], lines[3]), (rows[0], rows[2])):
+            label, ll, mae = line.split(",")
+            assert label == row.label
+            assert float(ll) == row.evaluation.ll_total and float(mae) == row.evaluation.mae
+        for w in (5, 7):
+            assert (tmp_path / f"qubits_{w}" / "record.json").is_file()
+
+    def test_failure_without_message_is_recorded(self, tmp_path, monkeypatch):
+        def failing_tune_and_predict(cfg, series, tune_dir=None, predict_dir=None):
+            raise RuntimeError()
+
+        monkeypatch.setattr(experiments, "tune_and_predict", failing_tune_and_predict)
+        cfg = load_config(env={})
+        cfg.ablate_qubits = (5,)
+        rows = experiments.run_ablate(cfg, tmp_path)
+        assert rows[0].error == "RuntimeError()"
+        assert json.loads((tmp_path / "failures.json").read_text()) == {"5": "RuntimeError()"}
+
 
 class TestRunRecords:
     """Each run's record.json carries the config that run used."""
@@ -347,14 +395,14 @@ class TestRunRecords:
         )
         assert cli.main(["--config", str(cfg_path), "--out", str(tmp_path), "ablate"]) == 0
         for w in (5, 6):
-            record = json.loads((tmp_path / "ablate" / f"qubits_{w}" / "record.json").read_text())
-            config = record["config"]
+            run_dir = tmp_path / "ablate" / f"qubits_{w}"
+            config = json.loads((run_dir / "record.json").read_text())["config"]
             assert config["kernel"] == "iqp"
             assert config["window"] == w
             assert config["train_overlap"] == 3
             assert config["gen.n_steps"] == 120
             # the last target is the last step of the 120-step series the run used
-            assert record["posteriors"][-1]["index"] == 120
+            assert _predictions(run_dir)[-1]["index"] == 120
 
     def test_compare_records_are_the_kinds_configs(self, tmp_path):
         cfg_path = _write_config(tmp_path, self.TINY_BO)
@@ -399,35 +447,54 @@ class TestTunedFile:
         return code
 
     def test_missing_file(self, tmp_path, capsys):
-        assert self._predict(tmp_path, capsys, tmp_path / "absent.json") == cli.EXIT_CONFIG
+        assert self._predict(tmp_path, capsys, tmp_path / "absent.json") == EXIT_CONFIG
 
     def test_malformed_json(self, tmp_path, capsys):
         tuned = tmp_path / "tuned.json"
         tuned.write_text('{"kind": "iqp", "theta": ')
-        assert self._predict(tmp_path, capsys, tuned) == cli.EXIT_CONFIG
+        assert self._predict(tmp_path, capsys, tuned) == EXIT_CONFIG
 
     def test_missing_theta(self, tmp_path, capsys):
         tuned = tmp_path / "tuned.json"
         tuned.write_text(json.dumps({"kind": "iqp"}))
-        assert self._predict(tmp_path, capsys, tuned) == cli.EXIT_CONFIG
+        assert self._predict(tmp_path, capsys, tuned) == EXIT_CONFIG
 
     def test_theta_names_mismatch(self, tmp_path, capsys):
         tuned = tmp_path / "tuned.json"
         theta = {"l_r": 1.0, "noise_var": 0.1, "mean_const": 0.0}
         tuned.write_text(json.dumps({"kind": "iqp", "theta": theta}))
-        assert self._predict(tmp_path, capsys, tuned) == cli.EXIT_CONFIG
+        assert self._predict(tmp_path, capsys, tuned) == EXIT_CONFIG
 
 
 class TestExitCodes:
     def test_config_error(self, tmp_path):
         cfg_path = _write_config(tmp_path, "window = 0\n")
-        assert cli.main(["--config", str(cfg_path), "generate"]) == cli.EXIT_CONFIG
+        assert cli.main(["--config", str(cfg_path), "generate"]) == EXIT_CONFIG
 
     def test_missing_config_file(self, tmp_path):
         missing = tmp_path / "nope.cfg"
-        assert cli.main(["--config", str(missing), "generate"]) == cli.EXIT_CONFIG
+        assert cli.main(["--config", str(missing), "generate"]) == EXIT_CONFIG
 
     def test_bad_kernel_kind(self, tmp_path):
         cfg_path = _write_config(tmp_path, FAST_BO)
         code = cli.main(["--config", str(cfg_path), "--out", str(tmp_path), "tune", "--kernel", "spline"])
-        assert code == cli.EXIT_CONFIG
+        assert code == EXIT_CONFIG
+
+    def test_flat_series_is_a_data_error(self, tmp_path, capsys):
+        cfg_path = _write_config(
+            tmp_path,
+            "gen.noise_sd = 0\ngen.slope = 0\ngen.sine1_amplitude = 0\ngen.sine2_amplitude = 0\n",
+        )
+        code = cli.main(["--config", str(cfg_path), "--out", str(tmp_path), "generate"])
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_numerical_error(self, tmp_path, capsys, monkeypatch):
+        def failing_generate(cfg, out_dir):
+            raise NumericalError("synthetic breakdown")
+
+        monkeypatch.setattr(experiments, "run_generate", failing_generate)
+        code = cli.main(["--out", str(tmp_path), "generate"])
+        assert code == EXIT_NUMERICAL
+        assert capsys.readouterr().err == "error: synthetic breakdown\n"
