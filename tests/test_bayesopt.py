@@ -194,6 +194,17 @@ def _posterior(surrogate, u):
 
 
 class TestSurrogate:
+    def test_degenerate_values_fall_back(self):
+        # No spread: unit scale, the mean as centre, z = 0, and a fitted surrogate.
+        trials = [
+            Trial(theta=np.array([0.2, 0.2, 0.2]), value=1.0, phase="sobol"),
+            Trial(theta=np.array([0.8, 0.8, 0.8]), value=1.0, phase="sobol"),
+        ]
+        surrogate = fit_surrogate(trials, UNIT3)
+        assert surrogate.value_mean == 1.0 and surrogate.value_sd == 1.0
+        assert surrogate.units is not None and surrogate.chol_inv is not None
+        assert surrogate.solve is not None and not np.any(surrogate.solve)
+
     def test_posterior_mean_interpolates_trials(self):
         trials = _quadratic_trials(UNIT3, n=30)
         surrogate = fit_surrogate(trials, UNIT3)
@@ -279,6 +290,14 @@ class TestAnalyticAcquisition:
         self._check(clamped, u, mean - 0.5)
         value, grad = bayesopt._acquisition_with_grad(clamped, mean + 0.5)(u)
         assert value == -LOG_EI_FLOOR and not np.any(grad)
+
+    def test_all_equal_values_match_central_differences(self):
+        # All-equal values give a zero posterior mean; the acquisition is
+        # still a smooth function of the sd and its gradient is exact.
+        trials = [Trial(theta=np.full(3, x), value=-3.7, phase="sobol") for x in (0.2, 0.5, 0.8)]
+        surrogate = fit_surrogate(trials, UNIT3)
+        for u in (np.array([0.31, 0.62, 0.47]), np.array([0.9, 0.1, 0.75])):
+            self._check(surrogate, u, surrogate.standardize_value(-3.7))
 
 
 def _close(a, b, tol=1e-8):
