@@ -95,7 +95,6 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.seed_data is not None:
-            cfg.seed_data = args.seed_data
             cfg.gen.seed = args.seed_data
         if args.seed_bo is not None:
             cfg.seed_bo = args.seed_bo

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigError
 from .kernels import KERNEL_KINDS, MATERN_NUS
+from .qkernel import QUBIT_CEILING
 from .timeseries import GenSpec
 
 ENV_PREFIX = "QUACK_"
@@ -36,10 +37,8 @@ class ExperimentConfig:
     n0: int = 25
     n_query: int = 25
     restarts: int = 2
-    seed_data: int = 0
     seed_bo: int = 0
     out_dir: str = "runs"
-    qubit_ceiling: int = 24
     landscape_alpha: float = 0.243
     landscape_grid: int = 61
     ablate_n_steps: int = 480
@@ -64,14 +63,12 @@ class ExperimentConfig:
             raise ConfigError(f"n0={self.n0} and n_query={self.n_query} must be >= 1")
         if self.restarts < 1:
             raise ConfigError(f"restarts must be >= 1, got {self.restarts}")
-        if self.seed_data < 0 or self.seed_bo < 0:
+        if self.gen.seed < 0 or self.seed_bo < 0:
             raise ConfigError(
-                f"seed_data={self.seed_data} and seed_bo={self.seed_bo} must be >= 0"
+                f"seed_data={self.gen.seed} and seed_bo={self.seed_bo} must be >= 0"
             )
-        if self.window > self.qubit_ceiling:
-            raise ConfigError(
-                f"window={self.window} exceeds qubit ceiling {self.qubit_ceiling}"
-            )
+        if self.window > QUBIT_CEILING:
+            raise ConfigError(f"window={self.window} exceeds qubit ceiling {QUBIT_CEILING}")
         if not self.mean_lo < self.mean_hi:
             raise ConfigError("mean bounds must satisfy mean_lo < mean_hi")
         if self.noise_lo < 0 or not self.noise_lo < self.noise_hi:
@@ -93,9 +90,9 @@ class ExperimentConfig:
                 f"ablate.qubits lists a window length twice: {list(self.ablate_qubits)}"
             )
         for w in self.ablate_qubits:
-            if not 1 <= w <= self.qubit_ceiling:
+            if not 1 <= w <= QUBIT_CEILING:
                 raise ConfigError(
-                    f"ablate.qubits entry {w} must be in [1, {self.qubit_ceiling}] "
+                    f"ablate.qubits entry {w} must be in [1, {QUBIT_CEILING}] "
                     "(the qubit ceiling)"
                 )
             if w <= self.ablate_train_overlap:
@@ -157,10 +154,9 @@ _SCHEMA: dict[str, tuple[str, object]] = {
     "n0": ("n0", int),
     "n_query": ("n_query", int),
     "restarts": ("restarts", int),
-    "seed_data": ("seed_data", int),
+    "seed_data": ("gen.seed", int),
     "seed_bo": ("seed_bo", int),
     "out_dir": ("out_dir", str),
-    "qubit_ceiling": ("qubit_ceiling", int),
     "landscape.alpha": ("landscape_alpha", _parse_float),
     "landscape.grid": ("landscape_grid", int),
     "ablate.n_steps": ("ablate_n_steps", int),
@@ -185,9 +181,6 @@ def _assign(cfg: ExperimentConfig, key: str, raw: str, origin: str) -> None:
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{origin}: bad value for {key!r}: {raw!r} ({exc})") from exc
     setattr(*_locate(cfg, path), value)
-    # gen.seed follows seed_data unless the generator seed was set directly
-    if key == "seed_data":
-        cfg.gen.seed = value
 
 
 def _env_name(key: str) -> str:
@@ -197,7 +190,6 @@ def _env_name(key: str) -> str:
 def load_config(path=None, env: dict[str, str] | None = None) -> ExperimentConfig:
     """Build a config from defaults, an optional file and the environment."""
     cfg = ExperimentConfig()
-    cfg.gen.seed = cfg.seed_data
     if path is not None:
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -228,7 +220,6 @@ def snapshot(cfg: ExperimentConfig) -> dict:
         if isinstance(value, tuple):
             value = list(value)
         out[key] = value
-    out["gen.seed"] = cfg.gen.seed
     return out
 
 

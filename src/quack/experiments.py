@@ -70,11 +70,9 @@ def hyperparams_from_theta(
 
 @dataclass
 class TuneResult:
-    kind: str
     theta: dict[str, float]
     incumbent_value: float
     trace: bayesopt.TuneTrace
-    trace_path: Path | None
     seconds: float
 
 
@@ -87,7 +85,7 @@ def run_tune(
 
     def objective(theta):
         hp = hyperparams_from_theta(space.names, theta, cfg)
-        return gpr.mll(train.X, train.y, hp, cfg.qubit_ceiling)
+        return gpr.mll(train.X, train.y, hp)
 
     trace_path = None
     if out_dir is not None:
@@ -101,8 +99,7 @@ def run_tune(
     seconds = time.perf_counter() - started
     theta = {name: float(v) for name, v in zip(space.names, trace.incumbent_theta)}
     result = TuneResult(
-        kind=cfg.kernel, theta=theta, incumbent_value=trace.incumbent_value,
-        trace=trace, trace_path=trace_path, seconds=seconds,
+        theta=theta, incumbent_value=trace.incumbent_value, trace=trace, seconds=seconds
     )
     if out_dir is not None:
         payload = {
@@ -121,7 +118,6 @@ def run_tune(
 
 @dataclass
 class PredictResult:
-    kind: str
     theta: dict[str, float]
     target_indices: np.ndarray  # 1-based time index of each test target
     targets: np.ndarray
@@ -144,13 +140,13 @@ def run_predict(
     theta_vec = np.array([theta[name] for name in space.names])
     hp = hyperparams_from_theta(space.names, theta_vec, cfg)
     started = time.perf_counter()
-    model = gpr.fit(train.X, train.y, hp, cfg.qubit_ceiling)
+    model = gpr.fit(train.X, train.y, hp)
     means, var_latent = gpr.predict_batch(model, test.X)
     seconds = time.perf_counter() - started
     var_predictive = var_latent + hp.noise_var
     evaluation = metrics.evaluate_forecast(means, var_predictive, test.y)
     result = PredictResult(
-        kind=cfg.kernel, theta=dict(theta),
+        theta=dict(theta),
         target_indices=test.starts + cfg.window + 1,
         targets=test.y, means=means,
         var_latent=var_latent, var_predictive=var_predictive,
@@ -185,7 +181,7 @@ def _write_predictions_csv(path: Path, result: PredictResult) -> None:
 def run_record(cfg: ExperimentConfig, result: PredictResult) -> dict:
     """JSON-serializable record of one prediction run."""
     return {
-        "kind": result.kind,
+        "kind": cfg.kernel,
         "config": snapshot(cfg),
         "theta": result.theta,
         "evaluation": result.evaluation.as_dict(),
@@ -342,7 +338,7 @@ def landscape_grid(cfg: ExperimentConfig, alpha: float, series: timeseries.Serie
         grid_points[1, :] = ys.ravel()
     model = kernels.KernelModel(kind="iqp", params={"alpha": float(alpha)})
     reference = np.zeros((w, 1))
-    values = kernels.cross_and_diag(model, reference, grid_points, cfg.qubit_ceiling)[0][0]
+    values = kernels.cross(model, reference, grid_points)[0]
     return axis, values.reshape(m, m)
 
 

@@ -5,11 +5,12 @@ observation noise variance and a kernel, the posterior at a query x is
 Gaussian with
 
     mean = m + k^T (K + sn2 I)^-1 (y - m 1)
-    var  = kappa(x, x) - k^T (K + sn2 I)^-1 k
+    var  = 1 - k^T (K + sn2 I)^-1 k
 
-computed from a single lower Cholesky factor.  The mean uses the centered
-form (solve against y - m*1, add m back), which is the form consistent
-with a constant-mean prior.
+computed from a single lower Cholesky factor.  The prior variance is 1
+because every kernel kind is a correlation kernel.  The mean uses the
+centered form (solve against y - m*1, add m back), which is the form
+consistent with a constant-mean prior.
 
 A jitter ladder 1e-10 / 1e-8 / 1e-6 / 1e-4 is added to the diagonal until
 the factorization succeeds; fidelity Gram matrices are PSD but can be
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgError, cho_solve, cholesky, solve_triangular
 
-from . import kernels, qkernel
+from . import kernels
 from .errors import InputError, NumericalError, ParameterError
 
 JITTER_LADDER = (1e-10, 1e-8, 1e-6, 1e-4)
@@ -66,10 +67,9 @@ class FittedGpr:
     chol: np.ndarray
     solve_cache: np.ndarray
     jitter: float
-    qubit_ceiling: int
 
 
-def fit(X, y, hp: GprHyperparams, qubit_ceiling: int = qkernel.DEFAULT_QUBIT_CEILING) -> FittedGpr:
+def fit(X, y, hp: GprHyperparams) -> FittedGpr:
     """Factor the regularized Gram matrix and cache the target solve.
 
     Parameters
@@ -96,14 +96,11 @@ def fit(X, y, hp: GprHyperparams, qubit_ceiling: int = qkernel.DEFAULT_QUBIT_CEI
         )
     if y.shape[0] < 1:
         raise InputError("at least one training pair is required")
-    gram = kernels.gram(hp.kernel, X, qubit_ceiling)
+    gram = kernels.gram(hp.kernel, X)
     chol, jitter, solve_cache = factor_and_solve(
         gram, hp.noise_var, y - hp.mean_const, hp.kernel.kind
     )
-    return FittedGpr(
-        X=X, y=y, hp=hp, chol=chol, solve_cache=solve_cache,
-        jitter=jitter, qubit_ceiling=qubit_ceiling,
-    )
+    return FittedGpr(X=X, y=y, hp=hp, chol=chol, solve_cache=solve_cache, jitter=jitter)
 
 
 def factor_and_solve(
@@ -158,17 +155,15 @@ def predict_batch(model: FittedGpr, X_query) -> tuple[np.ndarray, np.ndarray]:
             f"query matrix shape {X_query.shape} does not match window length "
             f"{model.X.shape[0]}"
         )
-    kmat, kappa = kernels.cross_and_diag(
-        model.hp.kernel, model.X, X_query, model.qubit_ceiling
-    )
+    kmat = kernels.cross(model.hp.kernel, model.X, X_query)
     means = model.hp.mean_const + kmat.T @ model.solve_cache
     half = solve_triangular(model.chol, kmat, lower=True)
-    variances = kappa - np.sum(half * half, axis=0)
+    variances = 1.0 - np.sum(half * half, axis=0)
     variances[variances < 0.0] = 0.0
     return means, variances
 
 
-def mll(X, y, hp: GprHyperparams, qubit_ceiling: int = qkernel.DEFAULT_QUBIT_CEILING) -> float:
+def mll(X, y, hp: GprHyperparams) -> float:
     """Marginal log likelihood log N(y; m 1, K + sn2 I), via :func:`fit`."""
-    model = fit(X, y, hp, qubit_ceiling)
+    model = fit(X, y, hp)
     return log_marginal(model.y - hp.mean_const, model.chol, model.solve_cache)

@@ -1,10 +1,12 @@
 """Baseline covariance kernels and dispatch over kernel kinds.
 
 Four classical kernels (RBF, Matern, rational quadratic, periodic) share
-one interface with the quantum fidelity kernel from :mod:`quack.qkernel`.
-All five are correlation kernels: value 1 at x = x2, no output-scale
-prefactor.  The periodic kernel divides by ``l_p`` (not ``l_p**2``),
-implemented literally as specified; it is a valid kernel either way.
+one interface with the quantum fidelity kernel from :mod:`quack.qkernel`:
+:func:`gram` over one design and :func:`cross` between two.  All five are
+correlation kernels: value 1 at x = x2, no output-scale prefactor, so the
+prior variance is 1 for every kind.  The periodic kernel divides by
+``l_p`` (not ``l_p**2``), implemented literally as specified; it is a
+valid kernel either way.
 
 Hyperparameter boxes (``DEFAULT_BOUNDS``): lengthscales in [0.1, 30],
 rational quadratic weight in [0.1, 10], period in [5, 35], bandwidth in
@@ -99,7 +101,7 @@ def _classical_matrix(model: KernelModel, X: np.ndarray, X2: np.ndarray) -> np.n
     return np.exp(-2.0 * s / p["l_p"])
 
 
-def gram(model: KernelModel, X, qubit_ceiling: int = qkernel.DEFAULT_QUBIT_CEILING) -> np.ndarray:
+def gram(model: KernelModel, X) -> np.ndarray:
     """Symmetric Gram matrix of the columns of a (w, c) design matrix.
 
     The quantum kind reuses one embedding per column; classical kinds are
@@ -109,7 +111,7 @@ def gram(model: KernelModel, X, qubit_ceiling: int = qkernel.DEFAULT_QUBIT_CEILI
     X = np.asarray(X, dtype=float)
     if model.kind == "iqp":
         params = qkernel.IqpParams(alpha=model.params["alpha"], n=X.shape[0])
-        return qkernel.gram_matrix(X, params, qubit_ceiling)
+        return qkernel.gram_matrix(X, params)
     out = _classical_matrix(model, X, X)
     iu, ju = np.triu_indices(out.shape[0], k=1)
     out[ju, iu] = out[iu, ju]
@@ -117,26 +119,16 @@ def gram(model: KernelModel, X, qubit_ceiling: int = qkernel.DEFAULT_QUBIT_CEILI
     return out
 
 
-def _check_lengths(X, X2) -> tuple[np.ndarray, np.ndarray]:
+def cross(model: KernelModel, X, X2) -> np.ndarray:
+    """Kernel matrix between the columns of X (c) and X2 (c2), shape (c, c2).
+
+    The fidelity kernel embeds each column of X2 once, in chunks.
+    """
     X = np.asarray(X, dtype=float)
     X2 = np.asarray(X2, dtype=float)
     if X.shape[0] != X2.shape[0]:
         raise InputError(f"window lengths differ: {X.shape[0]} vs {X2.shape[0]}")
-    return X, X2
-
-
-def cross_and_diag(
-    model: KernelModel, X, X2, qubit_ceiling: int = qkernel.DEFAULT_QUBIT_CEILING
-) -> tuple[np.ndarray, np.ndarray]:
-    """Kernel matrix between columns of X (c) and X2 (c2), shape (c, c2),
-    and kappa(x, x) for each column of X2.
-
-    Classical kernels are exactly 1 at zero distance; the fidelity kernel
-    embeds each column of X2 once for both outputs and returns the
-    squared-norm-squared of each embedding, 1 up to rounding.
-    """
-    X, X2 = _check_lengths(X, X2)
     if model.kind == "iqp":
         params = qkernel.IqpParams(alpha=model.params["alpha"], n=X.shape[0])
-        return qkernel.cross_gram_and_diag(X, X2, params, qubit_ceiling)
-    return _classical_matrix(model, X, X2), np.ones(X2.shape[1])
+        return qkernel.cross_gram(X, X2, params)
+    return _classical_matrix(model, X, X2)

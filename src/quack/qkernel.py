@@ -25,9 +25,10 @@ the combined ``2^-n`` normalization to a single exact scaling at the end.
 It embeds the c columns of a (w, c) design into one preallocated
 (c, 2^n) array and runs the butterflies over blocks of whole rows of at
 most ``_BLOCK_AMPLITUDES`` amplitudes: a thousand windows at 5 qubits, one
-at 16, so each transform stays in cache.  :func:`cross_gram_and_diag`
-embeds its query columns in chunks, so only one chunk of query states is
-live at a time.
+at 16, so each transform stays in cache.  :func:`cross_gram` embeds its
+query columns in chunks, so only one chunk of query states is live at a
+time.  Windows longer than ``QUBIT_CEILING`` are refused before anything
+is allocated.
 
 What is exact and what is not:
 
@@ -52,8 +53,8 @@ import numpy as np
 
 from .errors import InputError, ResourceError
 
-# 2^24 complex amplitudes ~ 256 MB; larger windows are refused.
-DEFAULT_QUBIT_CEILING = 24
+# Most qubits a window may have: a state of 2^24 complex amplitudes is 256 MB.
+QUBIT_CEILING = 24
 
 # Amplitudes per butterfly block (512 KiB of complex128): whole windows are
 # grouped up to this size, and a wider window is a block on its own.
@@ -173,9 +174,7 @@ def _fwht(src: np.ndarray, out: np.ndarray) -> None:
         src = dst
 
 
-def embed_columns(
-    X, params: IqpParams, qubit_ceiling: int = DEFAULT_QUBIT_CEILING
-) -> np.ndarray:
+def embed_columns(X, params: IqpParams) -> np.ndarray:
     """Statevectors of every column of a (w, c) design, fast block path.
 
     Applies phase multiplication and Walsh-Hadamard butterflies without
@@ -189,25 +188,28 @@ def embed_columns(
         Windows to encode, one per column.
     params : IqpParams
         Bandwidth and qubit count; ``params.n`` must equal the window length.
-    qubit_ceiling : int
-        Refuse windows longer than this (memory guard).
 
     Returns
     -------
     numpy.ndarray, complex, shape (c, 2^n)
         Unit-norm amplitudes of column ``j`` in row ``j``, little-endian
         basis order.
+
+    Raises
+    ------
+    ResourceError
+        If ``params.n`` exceeds ``QUBIT_CEILING``.
     """
     X = _as_window(X, params.n, ndim=2)
-    return _embed(X, params.alpha, qubit_ceiling)
+    return _embed(X, params.alpha)
 
 
-def _embed(X: np.ndarray, alpha: float, qubit_ceiling: int) -> np.ndarray:
-    """Block path of :func:`embed_columns` on a checked design, within the qubit ceiling."""
+def _embed(X: np.ndarray, alpha: float) -> np.ndarray:
+    """Block path of :func:`embed_columns` on a checked design, within ``QUBIT_CEILING``."""
     n, c = X.shape
-    if n > qubit_ceiling:
+    if n > QUBIT_CEILING:
         raise ResourceError(
-            f"{n} qubits exceeds the ceiling of {qubit_ceiling} ({2**n} amplitudes)"
+            f"{n} qubits exceeds the ceiling of {QUBIT_CEILING} ({2**n} amplitudes)"
         )
     size = 2**n
     states = np.empty((c, size), dtype=complex)
@@ -222,16 +224,14 @@ def _embed(X: np.ndarray, alpha: float, qubit_ceiling: int) -> np.ndarray:
     return states
 
 
-def gram_matrix(
-    X, params: IqpParams, qubit_ceiling: int = DEFAULT_QUBIT_CEILING
-) -> np.ndarray:
+def gram_matrix(X, params: IqpParams) -> np.ndarray:
     """Pairwise fidelity matrix of the columns of X.
 
     Each column is embedded exactly once; entries come from one pass over
     unordered pairs (upper triangle mirrored), so the result is exactly
     symmetric, and the diagonal is set to the exact self-fidelity 1.
     """
-    emb = embed_columns(X, params, qubit_ceiling)
+    emb = embed_columns(X, params)
     c = emb.shape[0]
     gram = np.abs(emb.conj() @ emb.T) ** 2
     iu, ju = np.triu_indices(c, k=1)
@@ -240,34 +240,21 @@ def gram_matrix(
     return gram
 
 
-def cross_gram_and_diag(
-    X, X2, params: IqpParams, qubit_ceiling: int = DEFAULT_QUBIT_CEILING
-) -> tuple[np.ndarray, np.ndarray]:
-    """Fidelities between columns of X and X2, and the self-fidelity of each X2 state.
+def cross_gram(X, X2, params: IqpParams) -> np.ndarray:
+    """Fidelities between the columns of X (c) and X2 (c2), shape (c, c2).
 
-    The columns of X2 are embedded once, in chunks, and each chunk serves
-    both outputs.  The self-fidelity is the squared norm, squared, of the
-    state as embedded: 1 up to rounding.
-
-    Chunks hold at least 8 columns, so that wide windows still give the
-    overlap product several query columns at once: at 16 qubits, the
-    products of 120 queries against 29 training states took 0.22 s in
-    1-column chunks and about 0.1 s in 8-column chunks (one OpenBLAS
-    thread on a 2-CPU x86-64 host).
-
-    Returns
-    -------
-    (numpy.ndarray, numpy.ndarray)
-        Fidelities of shape (c, c2) and self-fidelities of shape (c2,).
+    The columns of X2 are embedded once, in chunks of at least 8 columns,
+    so that wide windows still give the overlap product several query
+    columns at once: at 16 qubits, the products of 120 queries against 29
+    training states took 0.22 s in 1-column chunks and about 0.1 s in
+    8-column chunks (one OpenBLAS thread on a 2-CPU x86-64 host).
     """
-    bra = _embed(_as_window(X, params.n, ndim=2), params.alpha, qubit_ceiling).conj()
+    bra = _embed(_as_window(X, params.n, ndim=2), params.alpha).conj()
     X2 = _as_window(X2, params.n, ndim=2)
     c2 = X2.shape[1]
     fidelity = np.empty((bra.shape[0], c2))
-    diag = np.empty(c2)
     width = max(8, _BLOCK_AMPLITUDES // 2**params.n)
     for start in range(0, c2, width):
-        ket = _embed(X2[:, start : start + width], params.alpha, qubit_ceiling)
+        ket = _embed(X2[:, start : start + width], params.alpha)
         fidelity[:, start : start + width] = np.abs(bra @ ket.T) ** 2
-        diag[start : start + width] = np.sum(np.abs(ket) ** 2, axis=1) ** 2
-    return fidelity, diag
+    return fidelity

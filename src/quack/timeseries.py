@@ -59,7 +59,6 @@ class WindowedDataset:
 
     X: np.ndarray
     y: np.ndarray
-    window_len: int
     stride: int
     starts: np.ndarray
 
@@ -108,8 +107,8 @@ def generate(spec: GenSpec) -> Series:
 def standardize(series: Series) -> Series:
     """Center to zero mean and scale to unit (population) sd.
 
-    The statistics are recorded on the returned series so the transform
-    can be inverted.
+    The statistics are recorded on the returned series (``quack generate``
+    writes them beside the standardized values).
     """
     values = np.asarray(series.values, dtype=float)
     if values.shape[0] < 2:
@@ -119,11 +118,6 @@ def standardize(series: Series) -> Series:
     if sd < 1e-12 * max(1.0, abs(mean)):
         raise DataError("series variance is zero; cannot standardize")
     return Series(values=(values - mean) / sd, mean=mean, sd=sd)
-
-
-def destandardize(values, mean: float, sd: float) -> np.ndarray:
-    """Invert :func:`standardize` given the recorded statistics."""
-    return np.asarray(values, dtype=float) * sd + mean
 
 
 def make_windows(
@@ -154,7 +148,7 @@ def make_windows(
         )
     X = np.column_stack([values[s : s + w] for s in starts])
     y = values[starts + w]
-    return WindowedDataset(X=X, y=y, window_len=w, stride=stride, starts=starts)
+    return WindowedDataset(X=X, y=y, stride=stride, starts=starts)
 
 
 def split(

@@ -98,9 +98,11 @@ class TestConfig:
             ("ablate.qubits = 5,9\nablate.n_steps = 17\n", "ablate"),
             ("ablate.qubits = 5,5\n", "ablate"),
             ("ablate.qubits =\n", "ablate"),
+            ("qubit_ceiling = 30\n", "ablate"),  # the ceiling is not a config key
         ],
         ids=["matern_nu", "kernel", "landscape_alpha", "qubits_zero", "qubits_ceiling",
-             "qubits_overlap", "qubits_n_steps", "qubits_duplicate", "qubits_empty"],
+             "qubits_overlap", "qubits_n_steps", "qubits_duplicate", "qubits_empty",
+             "qubit_ceiling_key"],
     )
     def test_invalid_value_exits_before_tuning(self, tmp_path, text, command):
         with pytest.raises(ConfigError):

@@ -163,21 +163,20 @@ class TestPredict:
         model = fit(X, rng.normal(size=6), _hp(noise=0.05))
         Xq = np.concatenate([X[:, :1], rng.normal(size=(3, 4))], axis=1)
         means, variances = predict_batch(model, Xq)
-        real_cross_and_diag = kernels.cross_and_diag
+        real_cross = kernels.cross
 
-        def small_first_kappa(*args):
-            kmat, kappa = real_cross_and_diag(*args)
-            kappa = kappa.copy()
-            kappa[0] = 1e-3  # below k^T (K + sn2 I)^-1 k at a training window
-            return kmat, kappa
+        def doubled_first_column(*args):
+            kmat = real_cross(*args).copy()
+            kmat[:, 0] *= 2.0  # quadruples k^T (K + sn2 I)^-1 k at a training window
+            return kmat
 
-        monkeypatch.setattr(kernels, "cross_and_diag", small_first_kappa)
+        monkeypatch.setattr(kernels, "cross", doubled_first_column)
         clamped_means, clamped = predict_batch(model, Xq)
-        # rbf: kappa = 1, so the patched raw variance is 1e-3 - (1 - variances[0]) < 0
-        assert 0.0 < variances[0] < 1.0 - 1e-3
+        # the patched raw variance is 1 - 4 (1 - variances[0]) < 0
+        assert 0.0 < variances[0] < 0.75
         assert clamped[0] == 0.0
         assert np.array_equal(clamped[1:], variances[1:])
-        assert np.array_equal(clamped_means, means)
+        assert np.array_equal(clamped_means[1:], means[1:])
 
 
 class TestMll:

@@ -15,7 +15,7 @@ from quack.kernels import KernelModel, gram
 def _pair(kind, x, x2, **params):
     """quack's kernel value for one pair of windows, through the cross-kernel path."""
     x, x2 = np.asarray(x, dtype=float), np.asarray(x2, dtype=float)
-    return kernels.cross_and_diag(KernelModel(kind, params), x[:, None], x2[:, None])[0][0, 0]
+    return kernels.cross(KernelModel(kind, params), x[:, None], x2[:, None])[0, 0]
 
 
 def rbf(x, x2, l_r):
@@ -197,12 +197,13 @@ class TestDispatch:
             KernelModel("iqp", {"alpha": 0.3}),
             KernelModel("rbf", {"l_r": 2.0}),
             KernelModel("periodic", {"p": 9.0, "l_p": 1.0}),
+            KernelModel("rq", {"beta": 2.0, "l_q": 1.5}),
         ],
     )
     def test_cross_matches_scalar_evaluate(self, model):
         rng = np.random.default_rng(31)
         X, X2 = rng.normal(size=(3, 4)), rng.normal(size=(3, 5))
-        cm, _ = kernels.cross_and_diag(model, X, X2)
+        cm = kernels.cross(model, X, X2)
         assert cm.shape == (4, 5)
         for i in range(4):
             for j in range(5):
@@ -210,19 +211,14 @@ class TestDispatch:
                     evaluate(model, X[:, i], X2[:, j]), abs=1e-10
                 )
 
-    def test_cross_length_mismatch(self):
+    @pytest.mark.parametrize(
+        "model",
+        [KernelModel("rbf", {"l_r": 1.0}), KernelModel("iqp", {"alpha": 0.5})],
+        ids=["rbf", "iqp"],
+    )
+    def test_cross_length_mismatch(self, model):
         with pytest.raises(InputError):
-            kernels.cross_and_diag(
-                KernelModel("rbf", {"l_r": 1.0}), np.zeros((3, 2)), np.zeros((4, 2))
-            )
-
-    def test_self_diag(self):
-        rng = np.random.default_rng(32)
-        X = rng.normal(size=(4, 5))
-        _, classical = kernels.cross_and_diag(KernelModel("rbf", {"l_r": 1.0}), X, X)
-        assert np.array_equal(classical, np.ones(5))
-        _, quantum = kernels.cross_and_diag(KernelModel("iqp", {"alpha": 0.6}), X, X)
-        assert np.abs(quantum - 1.0).max() < 1e-10
+            kernels.cross(model, np.zeros((3, 2)), np.zeros((4, 2)))
 
     @pytest.mark.parametrize(
         "n, c2",
@@ -233,31 +229,15 @@ class TestDispatch:
             (14, 17),  # two chunks, the second with the remainder
         ],
     )
-    def test_cross_and_diag_is_cross_plus_self_fidelity(self, n, c2):
+    def test_cross_matches_unchunked_product(self, n, c2):
         rng = np.random.default_rng(33)
         X = rng.normal(size=(n, 4))
         X2 = rng.normal(size=(n, c2))
         model = KernelModel("iqp", {"alpha": 0.45})
-        kmat, kappa = kernels.cross_and_diag(model, X, X2)
+        kmat = kernels.cross(model, X, X2)
         params = qkernel.IqpParams(0.45, n)
         # one product over unchunked states; chunking may round differently
         # on another BLAS, so compare at a tolerance
         whole = qkernel.embed_columns(X, params).conj() @ qkernel.embed_columns(X2, params).T
+        assert kmat.shape == (4, c2)
         assert kmat == pytest.approx(np.abs(whole) ** 2, abs=1e-12)
-        for j in range(c2):
-            state = qkernel.embed_columns(X2[:, j : j + 1], params)[0]
-            assert kappa[j] == pytest.approx(np.vdot(state, state).real ** 2, abs=1e-12)
-
-    def test_cross_and_diag_classical(self):
-        rng = np.random.default_rng(34)
-        X, X2 = rng.normal(size=(3, 4)), rng.normal(size=(3, 6))
-        model = KernelModel("rq", {"beta": 2.0, "l_q": 1.5})
-        kmat, kappa = kernels.cross_and_diag(model, X, X2)
-        assert kmat.shape == (4, 6)
-        assert np.array_equal(kappa, np.ones(6))
-
-    def test_cross_and_diag_length_mismatch(self):
-        with pytest.raises(InputError):
-            kernels.cross_and_diag(
-                KernelModel("iqp", {"alpha": 0.5}), np.zeros((3, 2)), np.zeros((4, 2))
-            )

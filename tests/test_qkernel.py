@@ -9,15 +9,15 @@ from quack.errors import InputError, ResourceError
 from quack.qkernel import IqpParams, diagonal_phases, embed_columns, gram_matrix
 
 
-def embed(x, params, **kwargs):
+def embed(x, params):
     """quack's statevector of one window: a one-column design."""
-    return embed_columns(np.asarray(x, dtype=float)[:, None], params, **kwargs)[0]
+    return embed_columns(np.asarray(x, dtype=float)[:, None], params)[0]
 
 
 def kernel(x, x2, params):
     """quack's fidelity of one pair of windows, through the cross-kernel path."""
     x, x2 = np.asarray(x, dtype=float), np.asarray(x2, dtype=float)
-    return qkernel.cross_gram_and_diag(x[:, None], x2[:, None], params)[0][0, 0]
+    return qkernel.cross_gram(x[:, None], x2[:, None], params)[0, 0]
 
 
 class TestDiagonalPhases:
@@ -79,8 +79,9 @@ class TestEmbed:
             assert abs(np.linalg.norm(state) - 1.0) < 1e-10
 
     def test_qubit_ceiling(self):
+        n = qkernel.QUBIT_CEILING + 1
         with pytest.raises(ResourceError):
-            embed(np.zeros(5), IqpParams(0.1, 5), qubit_ceiling=4)
+            embed(np.zeros(n), IqpParams(0.1, n))
 
     def test_dimension_mismatch(self):
         with pytest.raises(InputError):
@@ -138,8 +139,9 @@ class TestBlockPath:
             embed_columns(np.zeros((4, 2)), params)
         with pytest.raises(InputError):
             embed_columns(np.array([[0.0], [np.nan], [1.0]]), params)
+        n = qkernel.QUBIT_CEILING + 1
         with pytest.raises(ResourceError):
-            embed_columns(np.zeros((3, 2)), params, qubit_ceiling=2)
+            embed_columns(np.zeros((n, 2)), IqpParams(0.5, n))
 
 
 class TestKernel:
@@ -240,7 +242,7 @@ class TestGramMatrix:
         X = rng.normal(size=(3, 4))
         X2 = rng.normal(size=(3, 6))
         params = IqpParams(0.5, 3)
-        cg, _ = qkernel.cross_gram_and_diag(X, X2, params)
+        cg = qkernel.cross_gram(X, X2, params)
         assert cg.shape == (4, 6)
         for i in range(4):
             for j in range(6):
@@ -254,7 +256,7 @@ class TestGramMatrix:
         x = rng.normal(size=14)
         X2 = rng.normal(size=(14, 17))
         params = IqpParams(0.5, 14)
-        cg, _ = qkernel.cross_gram_and_diag(x[:, None], X2, params)
+        cg = qkernel.cross_gram(x[:, None], X2, params)
         assert cg.shape == (1, 17)
         for j in range(17):
             assert cg[0, j] == pytest.approx(kernel(x, X2[:, j], params), abs=1e-12)

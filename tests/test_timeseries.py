@@ -9,7 +9,6 @@ from quack.errors import ConfigError, DataError, InputError
 from quack.timeseries import (
     GenSpec,
     Series,
-    destandardize,
     generate,
     make_windows,
     save_csv,
@@ -99,12 +98,6 @@ class TestStandardize:
         out = standardize(generate(GenSpec(seed=5)))
         assert abs(out.values.mean()) < 1e-9
         assert abs(out.values.std() - 1.0) < 1e-9
-
-    def test_round_trip(self):
-        raw = generate(GenSpec(seed=6))
-        std = standardize(raw)
-        back = destandardize(std.values, std.mean, std.sd)
-        assert np.abs(back - raw.values).max() < 1e-10
 
 
 class TestMakeWindows:
