@@ -19,25 +19,32 @@ amplitude index, little-endian, so amplitude index ``i`` has ``z_j = 1 -
 2 * ((i >> (j - 1)) & 1)``.  Kernel values are convention-invariant;
 amplitude-level comparisons with a dense simulation need the same one.
 
-The embedding (:func:`embed_columns`) applies the diagonal phases
-directly and uses an unnormalized fast Walsh-Hadamard transform, deferring
-the combined ``2^-n`` normalization to a single exact scaling at the end.
-It embeds the c columns of a (w, c) design into one preallocated
-(c, 2^n) array and runs the butterflies over blocks of whole rows of at
-most ``_BLOCK_AMPLITUDES`` amplitudes: a thousand windows at 5 qubits, one
-at 16, so each transform stays in cache.  :func:`cross_gram` embeds its
-query columns in chunks, so only one chunk of query states is live at a
-time.  Windows longer than ``QUBIT_CEILING`` are refused before anything
-is allocated.
+The embedding (:func:`embed_columns`) builds ``exp(i * phase)`` as a
+product of one- and two-qubit factors (:func:`_phase_factors`), so it
+takes about ``16 (n - 3) + n^2 / 2`` complex exponentials per window
+instead of ``2^n``, and uses an unnormalized fast Walsh-Hadamard
+transform, deferring the combined ``2^-n`` normalization to a single
+exact scaling of the phase factors.  It embeds the c columns of a (w, c)
+design into one preallocated (c, 2^n) array and works on blocks of whole
+rows of at most ``_BLOCK_AMPLITUDES`` amplitudes: a thousand windows at 5
+qubits, one at 16, so each transform stays in cache.  One phase block and
+one scratch block serve every block of a call.  :func:`cross_gram` embeds
+its query columns in chunks, so only one chunk of query states is live at
+a time.  Windows longer than ``QUBIT_CEILING`` are refused before
+anything is allocated.
 
 What is exact and what is not:
 
-* every step of the embedding is elementwise across columns, so a state
-  is bit-for-bit the same whether its window is embedded alone or in a
-  block of any size;
-* the overlaps are BLAS matrix products, whose rounding depends on the
-  BLAS, its thread count and the operand shapes, so chunked overlaps
-  match one product over all query states at 1e-12, not bit for bit;
+* every step of the embedding is elementwise across columns, and every
+  complex multiply runs along the amplitude axis in runs of at least 16,
+  so a state is bit-for-bit the same whether its window is embedded alone
+  or in a block of any size;
+* the phase factors are products of rounded exponentials, so they match
+  ``exp(1j * diagonal_phases(x, alpha))`` to about 1e-13, not bit for bit;
+* the overlaps are BLAS products (``zherk`` for a Gram matrix, a matrix
+  product for a cross kernel), whose rounding depends on the BLAS, its
+  thread count and the operand shapes, so chunked overlaps match one
+  product over all query states at 1e-12, not bit for bit;
 * pipeline outputs are checked against a committed golden set at the
   tolerance stated in ``tests/test_golden.py``.
 
@@ -50,6 +57,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import zherk
 
 from .errors import InputError, ResourceError
 
@@ -59,6 +67,10 @@ QUBIT_CEILING = 24
 # Amplitudes per butterfly block (512 KiB of complex128): whole windows are
 # grouped up to this size, and a wider window is a block on its own.
 _BLOCK_AMPLITUDES = 2**15
+
+# Qubits whose phases are exponentiated directly before the doubling starts;
+# see _phase_factors.
+_DIRECT_QUBITS = 4
 
 
 @dataclass(frozen=True)
@@ -129,8 +141,10 @@ def diagonal_phases(x, alpha: float) -> np.ndarray:
     Entry ``b`` is ``alpha * sum_j x_j z_j + alpha^2 * sum_{j'<j} x_j x_j'
     z_j z_j'`` with ``z_j`` the Pauli-Z eigenvalue of qubit ``j`` in basis
     state ``b``.  The pairwise sum is folded to ``(s^2 - sum_j x_j^2) / 2``
-    with ``s = sum_j x_j z_j``, exact because ``z_j^2 = 1``.  These are the
-    phases :func:`embed_columns` applies.
+    with ``s = sum_j x_j z_j``, exact because ``z_j^2 = 1``.  The embedding
+    exponentiates only the first 16 of these and builds the rest of
+    ``exp(i * phase)`` from one- and two-qubit factors; see
+    :func:`_phase_factors`.
 
     Parameters
     ----------
@@ -150,7 +164,7 @@ def diagonal_phases(x, alpha: float) -> np.ndarray:
     return _phases(s, xx, params.alpha)[0]
 
 
-def _fwht(src: np.ndarray, out: np.ndarray) -> None:
+def _fwht(src: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
     """Unnormalized fast Walsh-Hadamard transform of each row of ``src``.
 
     Radix-2 butterflies over bit 0, 1, ..., n-1 of the amplitude index, in
@@ -159,13 +173,12 @@ def _fwht(src: np.ndarray, out: np.ndarray) -> None:
     second half.  That rotates the index bits by one, so the next stage's
     pairs are again adjacent and after n stages every amplitude is back in
     place.  Each stage reads long strided runs and writes contiguous ones,
-    alternating between ``out`` and a scratch block so the last stage
-    writes ``out``; ``src`` is left unchanged.
+    alternating between ``out`` and ``scratch`` (both shaped like ``src``)
+    so the last stage writes ``out``; ``src`` is left unchanged.
     """
     size = src.shape[1]
     half = size // 2
     stages = size.bit_length() - 1
-    scratch = np.empty_like(out)
     targets = (out, scratch) if stages % 2 == 1 else (scratch, out)
     for stage in range(stages):
         dst = targets[stage % 2]
@@ -174,13 +187,59 @@ def _fwht(src: np.ndarray, out: np.ndarray) -> None:
         src = dst
 
 
+def _phase_factors(
+    X: np.ndarray, alpha: float, out: np.ndarray, scratch: np.ndarray, spare: np.ndarray
+) -> None:
+    """``exp(i * phase)`` on every basis state, per column of X, into ``out``.
+
+    The phases of the lowest ``_DIRECT_QUBITS`` qubits are exponentiated
+    directly.  Each further qubit j doubles the filled prefix: with
+    ``s_<j(b)`` the linear sum of :func:`_linear_sums` over the qubits
+    below j, the lower half (z_j = +1) is multiplied by ``u_j(b) =
+    exp(i alpha x_j (1 + alpha s_<j(b)))`` and the upper half (z_j = -1)
+    is the lower one times ``conj(u_j)``.  ``u_j`` is itself built in
+    ``scratch`` from its direct first ``2^_DIRECT_QUBITS`` entries by
+    doubling with ``exp(+-i alpha^2 x_j x_k)`` over qubits k < j, and its
+    conjugate goes to ``spare``.  That is about ``16 (n - 3) + n^2 / 2``
+    exponentials per column instead of ``2^n``.
+
+    Every multiply runs along the amplitude axis in runs of at least
+    ``2^_DIRECT_QUBITS``.  numpy rounds a complex multiply differently in
+    its SIMD body than in its scalar and broadcast paths; doubling from
+    runs of one amplitude lets the path, and so a window's state, depend
+    on how many columns are built at once.
+
+    ``out``, ``scratch`` and ``spare`` are (c, 2^n) complex blocks; only
+    ``out`` holds a result.
+    """
+    n = X.shape[0]
+    base = min(n, _DIRECT_QUBITS)
+    s, xx = _linear_sums(X[:base])
+    np.exp(1j * _phases(s, xx, alpha), out=out[:, : 2**base])
+    for j in range(base, n):
+        h = 2**j
+        x = X[j][:, None]
+        u = scratch[:, :h]
+        np.exp(1j * (alpha * x * (1.0 + alpha * s)), out=u[:, : 2**base])
+        w = np.exp(1j * (alpha**2 * x * X[base:j].T))
+        w_conj = w.conj()
+        for k in range(base, j):
+            hk = 2**k
+            np.multiply(u[:, :hk], w_conj[:, k - base, None], out=u[:, hk : 2 * hk])
+            u[:, :hk] *= w[:, k - base, None]
+        u_conj = np.conjugate(u, out=spare[:, :h])
+        np.multiply(out[:, :h], u_conj, out=out[:, h : 2 * h])
+        out[:, :h] *= u
+
+
 def embed_columns(X, params: IqpParams) -> np.ndarray:
     """Statevectors of every column of a (w, c) design, fast block path.
 
     Applies phase multiplication and Walsh-Hadamard butterflies without
     intermediate normalization; the combined factor ``2^-n`` from both
-    Hadamard layers is applied once at the end.  Being a pure power of
-    two, that scaling is exact, so ``alpha = 0`` returns |0...0> exactly.
+    Hadamard layers scales the phase factors once, before the last
+    multiply.  Being a pure power of two, that scaling is exact, so
+    ``alpha = 0`` returns |0...0> exactly.
 
     Parameters
     ----------
@@ -214,26 +273,35 @@ def _embed(X: np.ndarray, alpha: float) -> np.ndarray:
     size = 2**n
     states = np.empty((c, size), dtype=complex)
     step = max(1, _BLOCK_AMPLITUDES // size)
+    phases = np.empty((min(c, step), size), dtype=complex)
+    scratches = np.empty_like(phases)
     for start in range(0, c, step):
         block = states[start : start + step]
-        phase = np.exp(1j * _phases(*_linear_sums(X[:, start : start + step]), alpha))
+        phase, scratch = phases[: len(block)], scratches[: len(block)]
+        # The block, not yet written, holds conj(u_j) while the phases are built.
+        _phase_factors(X[:, start : start + step], alpha, phase, scratch, block)
         # H^n |0..0> is uniform; unnormalized it is the all-ones vector.
-        _fwht(phase, block)
+        _fwht(phase, block, scratch)
+        phase *= 2.0 ** (-n)
         block *= phase
-        block *= 2.0 ** (-n)
     return states
 
 
 def gram_matrix(X, params: IqpParams) -> np.ndarray:
     """Pairwise fidelity matrix of the columns of X.
 
-    Each column is embedded exactly once; entries come from one pass over
-    unordered pairs (upper triangle mirrored), so the result is exactly
+    Each column is embedded exactly once.  The overlaps of the upper
+    triangle come from one Hermitian rank-k product (BLAS ``zherk``, half
+    the work of a full product) and are mirrored, so the result is exactly
     symmetric, and the diagonal is set to the exact self-fidelity 1.
     """
     emb = embed_columns(X, params)
     c = emb.shape[0]
-    gram = np.abs(emb.conj() @ emb.T) ** 2
+    if c == 0:
+        return np.empty((0, 0))
+    # emb.T is the Fortran-ordered (2^n, c) view BLAS takes without a copy;
+    # trans=2 forms its conjugate transpose times itself, the bra-ket overlaps.
+    gram = np.abs(zherk(1.0, emb.T, trans=2)) ** 2
     iu, ju = np.triu_indices(c, k=1)
     gram[ju, iu] = gram[iu, ju]
     np.fill_diagonal(gram, 1.0)
@@ -247,14 +315,17 @@ def cross_gram(X, X2, params: IqpParams) -> np.ndarray:
     so that wide windows still give the overlap product several query
     columns at once: at 16 qubits, the products of 120 queries against 29
     training states took 0.22 s in 1-column chunks and about 0.1 s in
-    8-column chunks (one OpenBLAS thread on a 2-CPU x86-64 host).
+    8-column chunks (one OpenBLAS thread on a 2-CPU x86-64 host).  Each
+    query chunk is conjugated in place, so the training states are never
+    copied; a fidelity is symmetric in its two states.
     """
-    bra = _embed(_as_window(X, params.n, ndim=2), params.alpha).conj()
+    ket = _embed(_as_window(X, params.n, ndim=2), params.alpha)
     X2 = _as_window(X2, params.n, ndim=2)
     c2 = X2.shape[1]
-    fidelity = np.empty((bra.shape[0], c2))
+    fidelity = np.empty((ket.shape[0], c2))
     width = max(8, _BLOCK_AMPLITUDES // 2**params.n)
     for start in range(0, c2, width):
-        ket = _embed(X2[:, start : start + width], params.alpha)
-        fidelity[:, start : start + width] = np.abs(bra @ ket.T) ** 2
+        bra = _embed(X2[:, start : start + width], params.alpha)
+        np.conjugate(bra, out=bra)
+        fidelity[:, start : start + width] = (np.abs(bra @ ket.T) ** 2).T
     return fidelity

@@ -1,7 +1,11 @@
 """Fidelity kernel: closed-form examples, dense-oracle agreement, invariants."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import embed_dense
 from quack import qkernel
@@ -118,6 +122,11 @@ class TestBlockPath:
             (5, qkernel._BLOCK_AMPLITUDES // 2**5 + 3),
             # blocks of two windows at 14 qubits; the third starts a new block
             (14, 3),
+            # all phases direct, then one doubling step after the direct qubits
+            (4, 3),
+            (5, 3),
+            # a block of one window
+            (16, 2),
         ],
     )
     def test_columns_bit_equal_to_single_column_calls(self, n, c):
@@ -130,6 +139,38 @@ class TestBlockPath:
 
     def test_zero_columns(self):
         assert embed_columns(np.zeros((3, 0)), IqpParams(0.5, 3)).shape == (0, 8)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    @pytest.mark.parametrize("alpha", [0.0, 0.05, 1.0])
+    def test_phase_factors_match_exponential_of_phases(self, n, alpha):
+        x = np.random.default_rng(n).normal(size=n)
+        out, scratch, spare = np.empty((3, 1, 2**n), dtype=complex)
+        qkernel._phase_factors(x[:, None], alpha, out, scratch, spare)
+        expected = np.exp(1j * diagonal_phases(x, alpha))
+        assert np.abs(out[0] - expected).max() <= 1e-13
+
+    def test_no_state_sized_temporaries(self):
+        # Peak traced memory over the states' bytes.  Embedding one window
+        # needs the state, the phase block and the transform's scratch
+        # block; the rest (array headers, 16-entry tables) is well under
+        # 1 % of a 16-qubit state.  The Gram and cross kernel add only
+        # one-window blocks to the training states: no conjugated copies.
+        rng = np.random.default_rng(23)
+        params = IqpParams(0.5, 16)
+        X, X2 = rng.normal(size=(16, 29)), rng.normal(size=(16, 20))
+        state_bytes = 2**16 * np.dtype(complex).itemsize
+        for call, args, states, bound in (
+            (embed_columns, (X[:, :1], params), 1, 3.01),
+            (gram_matrix, (X, params), 29, 1.25),
+            (qkernel.cross_gram, (X, X2, params), 29, 2.0),
+        ):
+            tracemalloc.start()
+            try:
+                call(*args)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound * states * state_bytes, call.__name__
 
     def test_rejects_bad_designs(self):
         params = IqpParams(0.5, 3)
@@ -237,6 +278,23 @@ class TestGramMatrix:
             gram = gram_matrix(X, IqpParams(rng.uniform(0, 1), 5))
             assert np.linalg.eigvalsh(gram).min() >= -1e-8 * 20
 
+    @pytest.mark.parametrize("n, c", [(1, 1), (5, 355), (12, 9)])
+    def test_matches_full_overlap_product(self, n, c):
+        X = np.random.default_rng(15).normal(size=(n, c))
+        params = IqpParams(0.7, n)
+        emb = embed_columns(X, params)
+        full = np.abs(emb.conj() @ emb.T) ** 2
+        assert np.abs(gram_matrix(X, params) - full).max() <= 1e-12
+
+    def test_empty_designs_skip_the_blas(self, capfd):
+        params = IqpParams(0.5, 3)
+        empty, some = np.zeros((3, 0)), np.ones((3, 2))
+        assert gram_matrix(empty, params).shape == (0, 0)
+        assert qkernel.cross_gram(empty, some, params).shape == (0, 2)
+        assert qkernel.cross_gram(some, empty, params).shape == (2, 0)
+        assert qkernel.cross_gram(empty, empty, params).shape == (0, 0)
+        assert capfd.readouterr() == ("", "")
+
     def test_cross_gram_consistent(self):
         rng = np.random.default_rng(13)
         X = rng.normal(size=(3, 4))
@@ -260,3 +318,36 @@ class TestGramMatrix:
         assert cg.shape == (1, 17)
         for j in range(17):
             assert cg[0, j] == pytest.approx(kernel(x, X2[:, j], params), abs=1e-12)
+
+
+@st.composite
+def designs(draw, max_columns: int):
+    """A (n, c) design with n in 1..7, entries in [-3, 3] including exact zeros,
+    and a bandwidth in [0, 1]."""
+    n = draw(st.integers(1, 7))
+    c = draw(st.integers(1, max_columns))
+    entry = st.one_of(st.just(0.0), st.floats(-3.0, 3.0))
+    values = draw(st.lists(entry, min_size=n * c, max_size=n * c))
+    return np.array(values).reshape(n, c), IqpParams(draw(st.floats(0.0, 1.0)), n)
+
+
+class TestProperties:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(design=designs(max_columns=4))
+    def test_states(self, design):
+        X, params = design
+        states = embed_columns(X, params)
+        for j in range(X.shape[1]):
+            assert np.abs(states[j] - embed_dense(X[:, j], params)).max() < 1e-10
+            assert abs(np.linalg.norm(states[j]) - 1.0) < 1e-10
+            assert np.array_equal(states[j], embed(X[:, j], params))
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(design=designs(max_columns=12))
+    def test_gram(self, design):
+        X, params = design
+        gram = gram_matrix(X, params)
+        assert np.array_equal(gram, gram.T)
+        assert np.array_equal(np.diag(gram), np.ones(X.shape[1]))
+        assert gram.min() >= 0.0 and gram.max() <= 1.0 + 1e-12
+        assert np.linalg.eigvalsh(gram).min() >= -1e-10
