@@ -32,7 +32,6 @@ reduce by ordered argmax, so results do not depend on evaluation order.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -353,13 +352,12 @@ def fit_surrogate(
     """
     if len(trials) < 2:
         raise InputError(f"surrogate needs >= 2 trials, got {len(trials)}")
-    thetas = np.array([t.theta for t in trials])
     values = np.array([t.value for t in trials])
     value_mean = float(values.mean())
     value_sd = float(values.std())
     if value_sd < 1e-12:
         value_sd = 1.0
-    unit = np.array([space.to_unit(t) for t in thetas])
+    unit = space.to_unit([t.theta for t in trials])
     zvals = (values - value_mean) / value_sd
     if factors is None:
         factors = SurrogateFactors(space.dim, len(trials))
@@ -489,29 +487,6 @@ def propose_next(
     return space.from_unit(best_u)
 
 
-class TraceWriter:
-    """Streams one line per trial: phase, theta components, value, timestamp.
-
-    Lines are flushed as written so a partial trace survives an aborted
-    run.  The timestamp is the last field, letting consumers strip it
-    when comparing runs.
-    """
-
-    def __init__(self, path, space: SearchSpace):
-        self._fh = open(path, "w", encoding="utf-8")
-        names = ",".join(f"theta_{n}" for n in space.names)
-        self._fh.write(f"phase,{names},value,timestamp\n")
-        self._fh.flush()
-
-    def write(self, phase: str, theta: np.ndarray, value: float) -> None:
-        comps = ",".join(f"{t:.17g}" for t in theta)
-        self._fh.write(f"{phase},{comps},{value:.17g},{time.time():.6f}\n")
-        self._fh.flush()
-
-    def close(self) -> None:
-        self._fh.close()
-
-
 def _restart_seed(seed: int, step: int) -> int:
     return seed * 1_000_003 + step + 1
 
@@ -523,16 +498,17 @@ def tune(
     n_query: int,
     seed: int,
     restarts: int = 2,
-    trace_path=None,
+    on_trial=None,
 ) -> TuneTrace:
     """Run the full tuner: n0 Sobol evaluations, then n_query BO steps.
 
     The objective is called exactly n0 + n_query times.  The surrogate
     grid's inverse factors are kept across steps, so each step appends
     one row per grid point.  ``restarts`` is the number of L-BFGS-B
-    polishes per proposal.  An exception inside the objective aborts the
-    run; trials already completed remain in the trace file (when
-    ``trace_path`` is given), which is flushed line by line.
+    polishes per proposal.  ``on_trial(phase, theta, value)``, when
+    given, is called after each evaluation, so a caller can stream the
+    trials.  An exception inside the objective aborts the run; the
+    trials completed before it have already been passed to ``on_trial``.
 
     Returns the trace with the incumbent (argmax) and the work counts.
     """
@@ -540,24 +516,19 @@ def tune(
         raise InputError(f"n_query must be >= 0, got {n_query}")
     trace = TuneTrace()
     factors = SurrogateFactors(space.dim, n0 + n_query - 1, trace.counts) if n_query else None
-    writer = TraceWriter(trace_path, space) if trace_path is not None else None
-    try:
-        for theta in sobol_init(space, n0, seed):
-            value = float(objective(theta))
-            trace.record(theta, value, "sobol")
-            if writer:
-                writer.write("sobol", theta, value)
-        for step in range(n_query):
-            surrogate = fit_surrogate(trace.trials, space, factors)
-            theta = propose_next(
-                surrogate, space, trace.incumbent_value,
-                restarts=restarts, seed=_restart_seed(seed, step), counts=trace.counts,
-            )
-            value = float(objective(theta))
-            trace.record(theta, value, "query")
-            if writer:
-                writer.write("query", theta, value)
-    finally:
-        if writer:
-            writer.close()
+
+    def evaluate(theta: np.ndarray, phase: str) -> None:
+        value = float(objective(theta))
+        trace.record(theta, value, phase)
+        if on_trial is not None:
+            on_trial(phase, theta, value)
+
+    for theta in sobol_init(space, n0, seed):
+        evaluate(theta, "sobol")
+    for step in range(n_query):
+        surrogate = fit_surrogate(trace.trials, space, factors)
+        evaluate(propose_next(
+            surrogate, space, trace.incumbent_value,
+            restarts=restarts, seed=_restart_seed(seed, step), counts=trace.counts,
+        ), "query")
     return trace

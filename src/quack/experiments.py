@@ -1,16 +1,19 @@
-"""Experiment orchestration shared by the CLI subcommands.
+"""Experiment orchestration shared by the CLI subcommands; the only writer of run files.
 
-Each run is deterministic given the config: the data seed fixes the
-series, the BO seed fixes tuning, and all numeric output is printed with
-17 significant digits, so repeated runs produce byte-identical numeric
-files.  Wall-clock timings live in a separate ``timings`` field of the
-run record and are the only non-reproducible values written.
+Every CSV line is formatted by :func:`_line`, every JSON file written by
+:func:`_write_json`.  Fixed seeds give byte-identical numeric files: the
+data seed fixes the series, the BO seed fixes tuning, and floats are
+printed with 17 significant digits.  Wall-clock values (``timings`` in
+the JSON records, the last column of ``trace.csv``) are the only
+non-reproducible output.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
+import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,8 +27,23 @@ from .errors import ConfigError
 # Two-sided 97.5% standard normal quantile for the 95% band.
 Z95 = 1.959964
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
+def _line(cells) -> str:
+    """One CSV line: text as is, integers in decimal, floats to 17 significant digits."""
+    return ",".join(
+        c if isinstance(c, str) else str(int(c)) if isinstance(c, (int, np.integer))
+        else f"{float(c):.17g}"
+        for c in cells
+    ) + "\n"
+
+
+def _write_csv(path: Path, header, rows) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(_line(header))
+        fh.writelines(_line(row) for row in rows)
+
+
+def _write_json(path: Path, payload) -> None:
+    path.write_text(json.dumps(payload, indent=2) + "\n")
 
 
 def build_series(cfg: ExperimentConfig, n_steps: int | None = None) -> timeseries.Series:
@@ -87,22 +105,30 @@ def run_tune(
         hp = hyperparams_from_theta(space.names, theta, cfg)
         return gpr.mll(train.X, train.y, hp)
 
-    trace_path = None
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        trace_path = out_dir / "trace.csv"
-    started = time.perf_counter()
-    trace = bayesopt.tune(
-        objective, space, cfg.n0, cfg.n_query, cfg.seed_bo,
-        restarts=cfg.restarts, trace_path=trace_path,
-    )
-    seconds = time.perf_counter() - started
+    with contextlib.ExitStack() as stack:
+        on_trial = None
+        if out_dir is not None:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            fh = stack.enter_context(open(out_dir / "trace.csv", "w", encoding="utf-8"))
+            fh.write(_line(("phase", *(f"theta_{n}" for n in space.names), "value", "timestamp")))
+
+            def on_trial(phase, theta, value):
+                # Flushed per line so a partial trace survives an aborted run.
+                fh.write(_line((phase, *theta, value, f"{time.time():.6f}")))
+                fh.flush()
+
+        started = time.perf_counter()
+        trace = bayesopt.tune(
+            objective, space, cfg.n0, cfg.n_query, cfg.seed_bo,
+            restarts=cfg.restarts, on_trial=on_trial,
+        )
+        seconds = time.perf_counter() - started
     theta = {name: float(v) for name, v in zip(space.names, trace.incumbent_theta)}
     result = TuneResult(
         theta=theta, incumbent_value=trace.incumbent_value, trace=trace, seconds=seconds
     )
     if out_dir is not None:
-        payload = {
+        _write_json(out_dir / "tuned.json", {
             "kind": cfg.kernel,
             "theta": theta,
             "incumbent_value": trace.incumbent_value,
@@ -111,8 +137,7 @@ def run_tune(
             "seed_bo": cfg.seed_bo,
             "tuner": dataclasses.asdict(trace.counts),
             "timings": {"tune_s": seconds},
-        }
-        (out_dir / "tuned.json").write_text(json.dumps(payload, indent=2) + "\n")
+        })
     return result
 
 
@@ -154,28 +179,15 @@ def run_predict(
     )
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-        _write_predictions_csv(out_dir / "predictions.csv", result)
-        (out_dir / "record.json").write_text(
-            json.dumps(run_record(cfg, result), indent=2) + "\n"
+        half = Z95 * np.sqrt(var_predictive)
+        _write_csv(
+            out_dir / "predictions.csv",
+            ("index", "target", "mean", "var_latent", "var_predictive", "lower95", "upper95"),
+            zip(result.target_indices, test.y, means, var_latent, var_predictive,
+                means - half, means + half),
         )
+        _write_json(out_dir / "record.json", run_record(cfg, result))
     return result
-
-
-def _write_predictions_csv(path: Path, result: PredictResult) -> None:
-    half = Z95 * np.sqrt(result.var_predictive)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("index,target,mean,var_latent,var_predictive,lower95,upper95\n")
-        for i in range(result.targets.shape[0]):
-            row = (
-                str(int(result.target_indices[i])),
-                _fmt(result.targets[i]),
-                _fmt(result.means[i]),
-                _fmt(result.var_latent[i]),
-                _fmt(result.var_predictive[i]),
-                _fmt(result.means[i] - half[i]),
-                _fmt(result.means[i] + half[i]),
-            )
-            fh.write(",".join(row) + "\n")
 
 
 def run_record(cfg: ExperimentConfig, result: PredictResult) -> dict:
@@ -246,21 +258,16 @@ def _sweep(
         out_dir.mkdir(parents=True, exist_ok=True)
         failures = {row.label: row.error for row in rows if row.error}
         if failures:
-            (out_dir / "failures.json").write_text(json.dumps(failures, indent=2) + "\n")
+            _write_json(out_dir / "failures.json", failures)
     return rows
 
 
 def _write_table(path: Path, first: str, rows: list[SweepRow], fields: tuple[str, ...]) -> None:
     """One line per row: its label, then the ``fields`` of its evaluation (nan if it failed)."""
-    lines = [",".join((first, *fields))]
-    for row in rows:
-        if row.evaluation is None:
-            cells = ["nan"] * len(fields)
-        else:
-            ev = row.evaluation.as_dict()
-            cells = [_fmt(ev[name]) for name in fields]
-        lines.append(",".join((row.label, *cells)))
-    path.write_text("\n".join(lines) + "\n")
+    _write_csv(path, (first, *fields), [
+        (row.label, *(row.evaluation.as_dict()[f] if row.evaluation else math.nan for f in fields))
+        for row in rows
+    ])
 
 
 def run_compare(cfg: ExperimentConfig, out_dir: Path | None = None) -> list[SweepRow]:
@@ -288,13 +295,12 @@ def run_compare(cfg: ExperimentConfig, out_dir: Path | None = None) -> list[Swee
         matern = rows[kernels.KERNEL_KINDS.index("matern")]
         if cfg.matern_all and matern.evaluation is not None:
             selected = {"matern_nu": matern.matern_nu, "ll_total": matern.evaluation.ll_total}
-            (out_dir / "matern" / "selected.json").write_text(json.dumps(selected, indent=2) + "\n")
+            _write_json(out_dir / "matern" / "selected.json", selected)
         fields = metrics.Evaluation.METRIC_FIELDS
         _write_table(out_dir / "table.csv", "kernel", rows, fields)
         flags = compare_flags(rows)
-        flag_lines = [",".join(("kernel", *fields))]
-        flag_lines += [",".join((row.label, *flags[row.label])) for row in rows]
-        (out_dir / "flags.csv").write_text("\n".join(flag_lines) + "\n")
+        _write_csv(out_dir / "flags.csv", ("kernel", *fields),
+                   ((row.label, *flags[row.label]) for row in rows))
     return rows
 
 
@@ -347,11 +353,9 @@ def run_landscape(cfg: ExperimentConfig, alpha: float, out_dir: Path | None = No
     axis, values = landscape_grid(cfg, alpha, series)
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-        with open(out_dir / "landscape.csv", "w", encoding="utf-8") as fh:
-            fh.write("x1,x2,value\n")
-            for i, x1 in enumerate(axis):
-                for j, x2 in enumerate(axis):
-                    fh.write(f"{_fmt(x1)},{_fmt(x2)},{_fmt(values[i, j])}\n")
+        _write_csv(out_dir / "landscape.csv", ("x1", "x2", "value"), (
+            (x1, x2, values[i, j]) for i, x1 in enumerate(axis) for j, x2 in enumerate(axis)
+        ))
     return axis, values
 
 
@@ -381,13 +385,10 @@ def run_ablate(cfg: ExperimentConfig, out_dir: Path | None = None) -> list[Sweep
 
 def run_generate(cfg: ExperimentConfig, out_dir: Path) -> tuple[Path, Path]:
     """Write the standardized series CSV and its statistics sidecar."""
-    raw = timeseries.generate(cfg.gen)
-    std = timeseries.standardize(raw)
+    std = build_series(cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     series_path = out_dir / "series.csv"
     stats_path = out_dir / "series_stats.json"
-    timeseries.save_csv(std, series_path)
-    stats_path.write_text(
-        json.dumps({"mean": std.mean, "sd": std.sd, "n_steps": len(std)}, indent=2) + "\n"
-    )
+    _write_csv(series_path, ("value",), ((v,) for v in std.values))
+    _write_json(stats_path, {"mean": std.mean, "sd": std.sd, "n_steps": len(std)})
     return series_path, stats_path

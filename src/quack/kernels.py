@@ -104,19 +104,15 @@ def _classical_matrix(model: KernelModel, X: np.ndarray, X2: np.ndarray) -> np.n
 def gram(model: KernelModel, X) -> np.ndarray:
     """Symmetric Gram matrix of the columns of a (w, c) design matrix.
 
-    The quantum kind reuses one embedding per column; classical kinds are
-    evaluated vectorized.  Either way the result is exactly symmetric
-    with unit diagonal.
+    The quantum kind reuses one embedding per column.  Classical kinds use
+    explicit differences, exactly antisymmetric and zero on the diagonal,
+    so every result is exactly symmetric with unit diagonal.
     """
     X = np.asarray(X, dtype=float)
     if model.kind == "iqp":
         params = qkernel.IqpParams(alpha=model.params["alpha"], n=X.shape[0])
         return qkernel.gram_matrix(X, params)
-    out = _classical_matrix(model, X, X)
-    iu, ju = np.triu_indices(out.shape[0], k=1)
-    out[ju, iu] = out[iu, ju]
-    np.fill_diagonal(out, 1.0)
-    return out
+    return _classical_matrix(model, X, X)
 
 
 def cross(model: KernelModel, X, X2) -> np.ndarray:

@@ -301,9 +301,8 @@ def gram_matrix(X, params: IqpParams) -> np.ndarray:
         return np.empty((0, 0))
     # emb.T is the Fortran-ordered (2^n, c) view BLAS takes without a copy;
     # trans=2 forms its conjugate transpose times itself, the bra-ket overlaps.
-    gram = np.abs(zherk(1.0, emb.T, trans=2)) ** 2
-    iu, ju = np.triu_indices(c, k=1)
-    gram[ju, iu] = gram[iu, ju]
+    gram = np.triu(np.abs(zherk(1.0, emb.T, trans=2)) ** 2, 1)
+    gram += gram.T
     np.fill_diagonal(gram, 1.0)
     return gram
 

@@ -1,4 +1,4 @@
-"""Synthetic series generation, standardization, windowing and CSV output.
+"""Synthetic series generation, standardization and windowing.
 
 A generated series is a continuous piecewise-linear trend (slope sign
 alternating per segment, starting upward), two superposed sine waves and
@@ -177,10 +177,3 @@ def split(
     test = make_windows(series, w, overlap=w - 1, first=test_first, last=total - 1)
     return train, test
 
-
-def save_csv(series: Series, path) -> None:
-    """Write one value per line with a header, 17 significant digits."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("value\n")
-        for v in series.values:
-            fh.write(f"{v:.17g}\n")

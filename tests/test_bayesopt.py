@@ -560,34 +560,15 @@ class TestTune:
         )
         assert trace.incumbent_value >= random_best
 
-    def test_objective_failure_persists_partial_trace(self, tmp_path):
-        path = tmp_path / "trace.csv"
-        count = [0]
-
+    def test_on_trial_sees_every_evaluation_in_order(self):
         def objective(theta):
-            count[0] += 1
-            if count[0] > 4:
-                raise RuntimeError("boom")
-            return float(theta[0])
+            return -float(np.sum((theta - 0.4) ** 2))
 
-        with pytest.raises(RuntimeError):
-            tune(objective, UNIT3, n0=8, n_query=2, seed=0, trace_path=path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0].startswith("phase,")
-        assert len(lines) == 1 + 4  # header plus completed trials
-
-    def test_trace_file_format(self, tmp_path):
-        path = tmp_path / "trace.csv"
-
-        def objective(theta):
-            return float(theta[0])
-
-        tune(objective, UNIT3, n0=3, n_query=2, seed=1, trace_path=path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "phase,theta_a,theta_b,theta_c,value,timestamp"
-        assert len(lines) == 6
-        for line in lines[1:]:
-            fields = line.split(",")
-            assert fields[0] in ("sobol", "query")
-            assert len(fields) == 6
-            [float(f) for f in fields[1:]]  # all numeric
+        seen = []
+        trace = tune(objective, UNIT3, n0=5, n_query=3, seed=3,
+                     on_trial=lambda *args: seen.append(args))
+        assert len(seen) == 5 + 3
+        for (phase, theta, value), trial in zip(seen, trace.trials):
+            assert phase == trial.phase
+            assert np.array_equal(theta, trial.theta)
+            assert value == trial.value

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from oracles import evaluate
@@ -136,6 +138,28 @@ class TestStationarity:
         base = _pair(model.kind, x, x2, **model.params)
         assert abs(_pair(model.kind, x + shift, x2 + shift, **model.params) - base) < 1e-12
 
+
+
+class TestClassicalGramProperties:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        w=st.integers(1, 10),
+        c=st.integers(1, 60),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.floats(1e-3, 1e3),
+        u=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2),
+    )
+    def test_exactly_symmetric_with_unit_diagonal(self, w, c, seed, scale, u):
+        # The Gram is used as computed, with no mirror pass and no diagonal fill.
+        X = scale * np.random.default_rng(seed).normal(size=(w, c))
+        cases = [(kind, {}) for kind in ("rbf", "rq", "periodic")]
+        cases += [("matern", {"nu": nu}) for nu in kernels.MATERN_NUS]
+        for kind, fixed in cases:
+            box = {k: b for k, b in kernels.DEFAULT_BOUNDS[kind].items() if k not in fixed}
+            params = {k: lo + t * (hi - lo) for (k, (lo, hi)), t in zip(box.items(), u)}
+            gm = gram(KernelModel(kind, {**params, **fixed}), X)
+            assert np.array_equal(gm, gm.T), kind
+            assert np.array_equal(np.diag(gm), np.ones(c)), kind
 
 class TestKernelModel:
     def test_out_of_bounds_rejected(self):

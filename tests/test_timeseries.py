@@ -1,6 +1,4 @@
-"""Series generation, standardization, windowing, splitting and CSV output."""
-
-import csv
+"""Series generation, standardization, windowing and splitting."""
 
 import numpy as np
 import pytest
@@ -11,7 +9,6 @@ from quack.timeseries import (
     Series,
     generate,
     make_windows,
-    save_csv,
     split,
     standardize,
 )
@@ -164,14 +161,3 @@ class TestSplit:
         with pytest.raises(DataError):
             split(Series(values=np.arange(8, dtype=float)), w=5, train_frac=0.5)
 
-
-class TestCsv:
-    def test_save_load_round_trip(self, tmp_path):
-        series = standardize(generate(GenSpec(seed=3)))
-        path = tmp_path / "series.csv"
-        save_csv(series, path)
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["value"]
-        loaded = np.array([float(value) for (value,) in rows[1:]])
-        assert np.array_equal(loaded, series.values)
