@@ -24,6 +24,11 @@ log-EI call and polishes the best ``restarts`` of them with L-BFGS-B, as
 BoTorch's ``optimize_acqf`` screens raw samples (Balandat et al., NeurIPS
 2020).
 
+Sobol points (d <= 4) come from the Joe & Kuo (2008) direction numbers
+and Matousek's (1998) linear matrix scramble with a digital shift; they
+equal scipy's ``qmc.Sobol`` points bit for bit without importing
+``scipy.stats``, which would double every process's start-up time.
+
 The tune loop is inherently sequential; each proposal depends on all
 prior results.  Sobol-phase evaluations and polishes are independent and
 reduce by ordered argmax, so results do not depend on evaluation order.
@@ -38,7 +43,6 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.optimize import minimize
 from scipy.special import erfcx, ndtr
-from scipy.stats import qmc
 
 from . import gpr, kernels
 from .errors import ConfigError, InputError
@@ -48,6 +52,13 @@ LOG_EI_FLOOR = -1.0e300
 
 # Switch from the erfcx tail to the asymptotic Mills-ratio series here.
 _DEEP_TAIL = -30.0
+
+_SOBOL_BITS = 30
+_SOBOL_MAX_DIM = 4
+# (primitive polynomial, initial direction numbers) of dimensions 1..3.
+_JOE_KUO = ((3, (1,)), (7, (1, 3)), (11, (1, 3, 1)))
+# Place values of a direction number's bits, top bit first.
+_BIT_WEIGHTS = 1 << np.arange(_SOBOL_BITS - 1, -1, -1, dtype=np.uint32)
 
 _SURROGATE_GRID_SIZE = 128
 _SURROGATE_LENGTHSCALE_BOUNDS = (0.05, 4.0)
@@ -139,6 +150,59 @@ class TuneTrace:
             self.incumbent_theta = np.asarray(theta, dtype=float).copy()
 
 
+def _direction_numbers() -> np.ndarray:
+    """Read-only direction numbers v[j, b]: bit b of a point's index XORs
+    in v[:, b].  Dimension j >= 1 grows the initial numbers of Joe & Kuo
+    (SIAM J. Sci. Comput. 30, 2008) by its primitive polynomial's recurrence.
+    """
+    rows = [[1] * _SOBOL_BITS]
+    for poly, initial in _JOE_KUO:
+        degree = poly.bit_length() - 1
+        m = list(initial)
+        for b in range(degree, _SOBOL_BITS):
+            new = m[b - degree] ^ (m[b - degree] << degree)
+            for k in range(1, degree):
+                if (poly >> (degree - k)) & 1:
+                    new ^= m[b - k] << k
+            m.append(new)
+        rows.append(m)
+    v = np.array(rows, dtype=np.uint32) * _BIT_WEIGHTS
+    v.flags.writeable = False
+    return v
+
+
+_DIRECTIONS = _direction_numbers()
+
+
+def _sobol(d: int, total: int, seed: int, scramble: bool) -> np.ndarray:
+    """The first ``total`` Sobol points, equal bit for bit to
+    ``scipy.stats.qmc.Sobol(d, scramble=scramble, seed=seed).random(total)``.
+
+    Gray-code order, by doubling: the first 2^(b+1) points are the first
+    2^b, then those reversed and XORed with direction b.  The scramble
+    (Matousek, J. Complexity 14, 1998) draws from
+    ``np.random.default_rng(seed)`` in scipy's order a digital shift, then
+    per dimension a lower-triangular bit matrix with unit diagonal that
+    multiplies every direction number over GF(2).
+    """
+    if not 1 <= d <= _SOBOL_MAX_DIM:
+        raise InputError(f"Sobol points need 1..{_SOBOL_MAX_DIM} dimensions, got {d}")
+    directions = _DIRECTIONS[:d]
+    shift = np.zeros(d, dtype=np.uint32)
+    if scramble:
+        rng = np.random.default_rng(seed)
+        shift = rng.integers(2, size=(d, _SOBOL_BITS), dtype=np.uint32) @ _BIT_WEIGHTS[::-1]
+        draws = rng.integers(2, size=(d, _SOBOL_BITS, _SOBOL_BITS), dtype=np.uint32)
+        lower = np.tril(draws, -1) + np.eye(_SOBOL_BITS, dtype=np.uint32)
+        rows = lower @ _BIT_WEIGHTS  # row p of each matrix as an integer
+        parity = np.bitwise_count(rows[:, :, None] & directions[:, None, :]) & 1
+        directions = _BIT_WEIGHTS @ parity  # parity of row p is bit p, top first
+    points = np.zeros((1, d), dtype=np.uint32)
+    for b in range((total - 1).bit_length()):
+        points = np.concatenate([points, points[::-1] ^ directions[:, b]])
+    return (points[:total] ^ shift) * (1.0 / (1 << _SOBOL_BITS))
+
+
 def _sobol_unit(d: int, count: int, seed: int, scramble: bool) -> np.ndarray:
     """First ``count`` Sobol points after skipping the index-0 point.
 
@@ -146,9 +210,8 @@ def _sobol_unit(d: int, count: int, seed: int, scramble: bool) -> np.ndarray:
     balance properties, then discards the head point (all zeros when
     unscrambled) and the unused tail.
     """
-    engine = qmc.Sobol(d=d, scramble=scramble, seed=seed)
     total = 1 << max(1, math.ceil(math.log2(count + 1)))
-    return engine.random(total)[1 : count + 1]
+    return _sobol(d, total, seed, scramble)[1 : count + 1]
 
 
 def sobol_init(space: SearchSpace, n0: int, seed: int) -> np.ndarray:
@@ -251,13 +314,17 @@ class Surrogate:
 
 def _surrogate_grid() -> tuple[np.ndarray, np.ndarray]:
     """Fixed (lengthscale, noise) candidates: 128 unscrambled Sobol points,
-    log-uniform across both boxes."""
+    log-uniform across both boxes.  Read-only."""
     unit = _sobol_unit(2, _SURROGATE_GRID_SIZE, seed=0, scramble=False)
     lo_l, hi_l = _SURROGATE_LENGTHSCALE_BOUNDS
     lo_n, hi_n = _SURROGATE_NOISE_BOUNDS
     lengthscales = np.exp(np.log(lo_l) + unit[:, 0] * (np.log(hi_l) - np.log(lo_l)))
     noises = np.exp(np.log(lo_n) + unit[:, 1] * (np.log(hi_n) - np.log(lo_n)))
+    lengthscales.flags.writeable = noises.flags.writeable = False
     return lengthscales, noises
+
+
+_GRID_LENGTHSCALES, _GRID_NOISES = _surrogate_grid()
 
 
 class SurrogateFactors:
@@ -276,7 +343,7 @@ class SurrogateFactors:
     """
 
     def __init__(self, dim: int, capacity: int, counts: TunerCounts | None = None):
-        self.lengthscales, self.noises = _surrogate_grid()
+        self.lengthscales, self.noises = _GRID_LENGTHSCALES, _GRID_NOISES
         grid = self.lengthscales.shape[0]
         self.rungs = np.zeros(grid, dtype=int)
         self.ridge = self.noises + gpr.JITTER_LADDER[0]  # noise_g + jitter_g

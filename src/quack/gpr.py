@@ -113,19 +113,33 @@ def factor_and_solve(
     the factor's solve against ``resid``.  ``kind`` only names the kernel
     in the error.
 
+    One Fortran-ordered c x c buffer holds the regularized matrix and is
+    factored in place, so a call allocates one matrix besides the caller's
+    ``gram``, which it leaves unchanged.  Each rung copies ``gram`` into
+    the buffer and sets its diagonal to (diag(gram) + noise_var) + jitter,
+    the sums of gram + noise_var I + jitter I in the same order.
+
     Raises
     ------
+    ValueError
+        If the regularized matrix holds an inf or a NaN.
     NumericalError
         If Cholesky fails at every rung of the jitter ladder.
     """
     c = resid.shape[0]
-    noisy = gram + noise_var * np.eye(c)
+    noisy_diag = np.diagonal(gram) + noise_var
+    regularized = np.empty((c, c), order="F")
     for jitter in JITTER_LADDER[first_rung:]:
+        regularized[...] = gram
+        np.fill_diagonal(regularized, noisy_diag + jitter)
+        if not np.isfinite(regularized).all():
+            raise ValueError("array must not contain infs or NaNs")
         try:
-            chol = cholesky(noisy + jitter * np.eye(c), lower=True)
+            chol = cholesky(regularized, lower=True, overwrite_a=True, check_finite=False)
         except LinAlgError:
             continue
         return chol, jitter, cho_solve((chol, True), resid)
+    noisy = gram + noise_var * np.eye(c)
     eigs = np.linalg.eigvalsh((noisy + noisy.T) / 2.0)
     raise NumericalError(
         "Cholesky failed after max jitter "

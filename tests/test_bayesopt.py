@@ -67,6 +67,52 @@ class TestSobolInit:
         assert sobol_disc < np.mean(random_discs)
 
 
+class TestSobolOracle:
+    """The in-repo generator against scipy's ``qmc.Sobol``, bit for bit.
+
+    Seeds go through the legacy ``seed=`` keyword, as the tuner's stream
+    was recorded with it; scipy's ``rng=`` draws a different stream.
+    """
+
+    SEEDS = (0, 7, 2**31 - 2, bayesopt._restart_seed(2**31 - 2, 49))
+
+    @pytest.mark.parametrize("scramble", [True, False])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_equals_scipy(self, d, scramble):
+        for seed in self.SEEDS:
+            for total in (2**k for k in range(1, 13)):
+                expected = qmc.Sobol(d=d, scramble=scramble, seed=seed).random(total)
+                assert np.array_equal(bayesopt._sobol(d, total, seed, scramble), expected), (
+                    seed, total,
+                )
+
+    @pytest.mark.filterwarnings("ignore:The balance properties")
+    def test_totals_between_powers_of_two(self):
+        for total in (3, 100, 1023):
+            expected = qmc.Sobol(d=3, scramble=True, seed=11).random(total)
+            assert np.array_equal(bayesopt._sobol(3, total, 11, True), expected)
+
+    def test_screen_and_grid_points(self):
+        seed = bayesopt._restart_seed(5, 3)
+        screen = qmc.Sobol(d=4, scramble=True, seed=seed).random(bayesopt._SCREEN_SIZE + 1)[1:]
+        assert np.array_equal(bayesopt._sobol_unit(4, bayesopt._SCREEN_SIZE, seed, True), screen)
+        grid = qmc.Sobol(d=2, scramble=False).random(256)[1 : bayesopt._SURROGATE_GRID_SIZE + 1]
+        lo, hi = bayesopt._SURROGATE_LENGTHSCALE_BOUNDS
+        assert np.array_equal(
+            bayesopt._GRID_LENGTHSCALES,
+            np.exp(np.log(lo) + grid[:, 0] * (np.log(hi) - np.log(lo))),
+        )
+
+    def test_grid_and_directions_are_read_only(self):
+        for table in (bayesopt._DIRECTIONS, bayesopt._GRID_LENGTHSCALES, bayesopt._GRID_NOISES):
+            with pytest.raises(ValueError):
+                table[0] = 0
+
+    def test_dimension_range(self):
+        with pytest.raises(InputError):
+            bayesopt._sobol_unit(5, 3, seed=0, scramble=False)
+
+
 class TestExpectedImprovement:
     """The closed-form oracle that :class:`TestLogEi` checks log-EI against."""
 
@@ -313,7 +359,7 @@ class TestSurrogateGrid:
         values = np.array([t.value for t in trials])
         zvals = (values - values.mean()) / values.std()
         unit = np.array([UNIT3.to_unit(t.theta) for t in trials])
-        lengthscales, noises = bayesopt._surrogate_grid()
+        lengthscales, noises = bayesopt._GRID_LENGTHSCALES, bayesopt._GRID_NOISES
         regularized, mlls = [], []
         for l, nv in zip(lengthscales, noises):
             a = _matern52(unit[:, None, :], unit[None, :, :], l)
@@ -333,7 +379,7 @@ class TestSurrogateGrid:
 
 def _direct_scores(unit, zvals, ridge):
     """Every grid point's MLL by dense slogdet and solve, with no factor."""
-    lengthscales, _ = bayesopt._surrogate_grid()
+    lengthscales = bayesopt._GRID_LENGTHSCALES
     m = zvals.shape[0]
     regularized = np.stack([
         _matern52(unit[:, None, :], unit[None, :, :], l) + r * np.eye(m)

@@ -3,6 +3,10 @@
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -194,6 +198,29 @@ class TestGenerateCommand:
         cli.main(["--out", str(a), "--seed-data", "3", "generate"])
         cli.main(["--out", str(b), "--seed-data", "3", "generate"])
         assert (a / "series.csv").read_bytes() == (b / "series.csv").read_bytes()
+
+
+STARTUP_PROBE = """
+import sys
+import quack.cli
+assert "scipy.stats" not in sys.modules, "scipy.stats loaded by the import"
+code = quack.cli.main(["--config", sys.argv[1], "--out", sys.argv[2], "tune"])
+assert code == 0, code
+assert "scipy.stats" not in sys.modules, "scipy.stats loaded by the run"
+"""
+
+
+def test_cli_start_up_does_not_load_scipy_stats(tmp_path):
+    # A fresh interpreter: scipy.stats is about half of quack's import time.
+    cfg_path = _write_config(tmp_path, "n0 = 3\nn_query = 2\n")
+    env = {k: v for k, v in os.environ.items() if not k.startswith("QUACK_")}
+    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", STARTUP_PROBE, str(cfg_path), str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, check=False,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert (tmp_path / "out" / "tune_iqp" / "tuned.json").exists()
 
 
 class TestTuneCommand:

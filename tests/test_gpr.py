@@ -1,13 +1,15 @@
 """GP regression against a direct matrix-inversion oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError, cho_solve, cholesky
 
 import oracles
 from quack import gpr, kernels
-from quack.errors import InputError, ParameterError
+from quack.errors import InputError, NumericalError, ParameterError
 from quack.gpr import GprHyperparams, fit, mll, predict_batch
 
 JITTER0 = gpr.JITTER_LADDER[0]
@@ -205,3 +207,75 @@ class TestMll:
         hp = _hp(noise=0.25)
         perm = rng.permutation(9)
         assert abs(mll(X, y, hp) - mll(X[:, perm], y[perm], hp)) < 1e-10
+
+
+def _low_rank_gram(c, scale, seed=1):
+    """B B^T for a (c, 3) B: rank 3, so a small ridge may not factor it."""
+    b = np.random.default_rng(seed).normal(size=(c, 3)) * scale
+    return b @ b.T
+
+
+def _random_gram(c, seed=0):
+    a = np.random.default_rng(seed).normal(size=(c, c + 5))
+    return a @ a.T / (c + 5)
+
+
+def _ladder_by_formula(gram, noise_var, resid, first_rung=0):
+    """The jitter ladder as gram + noise I + jitter I, one fresh sum per rung."""
+    c = resid.shape[0]
+    noisy = gram + noise_var * np.eye(c)
+    for jitter in gpr.JITTER_LADDER[first_rung:]:
+        try:
+            chol = cholesky(noisy + jitter * np.eye(c), lower=True)
+        except LinAlgError:
+            continue
+        return chol, jitter, cho_solve((chol, True), resid)
+    raise AssertionError("no rung factored")
+
+
+class TestFactorAndSolve:
+    @pytest.mark.parametrize(
+        "gram, noise_var, first_rung, jitter",
+        [
+            (_random_gram(30), 0.1, 0, 1e-10),
+            (_random_gram(30), 0.37, 2, 1e-6),
+            (_low_rank_gram(40, 1000.0), 0.0, 0, 1e-8),  # the first rung fails
+            (_low_rank_gram(40, 1000.0), 0.0, 1, 1e-8),
+            (_low_rank_gram(40, 1000.0), 0.05, 3, 1e-4),
+        ],
+    )
+    def test_bit_equal_to_formula_and_leaves_gram(self, gram, noise_var, first_rung, jitter):
+        resid = np.random.default_rng(2).normal(size=gram.shape[0])
+        before = gram.copy()
+        chol, got_jitter, solve = gpr.factor_and_solve(gram, noise_var, resid, "x", first_rung)
+        expected = _ladder_by_formula(gram, noise_var, resid, first_rung)
+        assert np.array_equal(gram, before)
+        assert got_jitter == expected[1] == jitter
+        assert np.array_equal(chol, expected[0])
+        assert np.array_equal(solve, expected[2])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_gram_raises_value_error(self, bad):
+        gram = _random_gram(6)
+        gram[4, 1] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            gpr.factor_and_solve(gram, 0.1, np.ones(6), "x")
+
+    def test_exhausted_ladder_raises_numerical_error(self):
+        with pytest.raises(NumericalError, match="kind=x"):
+            gpr.factor_and_solve(_low_rank_gram(40, 1e6), 0.0, np.ones(40), "x")
+
+    def test_one_matrix_of_memory(self):
+        # Peak traced memory over one c x c float matrix: the factor is
+        # made in one buffer, beside a bool finiteness mask of 1/8 of it;
+        # the sum-per-rung formula peaks at 3 matrices.
+        c = 355
+        gram = _random_gram(c)
+        resid = np.ones(c)
+        tracemalloc.start()
+        try:
+            gpr.factor_and_solve(gram, 0.1, resid, "x")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * c * c * 8
