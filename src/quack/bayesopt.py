@@ -311,6 +311,18 @@ class Surrogate:
     def standardize_value(self, value: float) -> float:
         return (value - self.value_mean) / self.value_sd
 
+    def posterior_unit(self, unit_points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Standardized posterior mean and sd at each row of ``unit_points``.
+
+        The mean is k . solve and the variance 1 - |L^-1 k|^2, clamped at 0.
+        """
+        units = self.units
+        sqdist = sum((unit_points[:, j, None] - units[:, j]) ** 2 for j in range(units.shape[1]))
+        k = kernels._matern_from_scaled(np.sqrt(sqdist) / self.lengthscale, 2.5)
+        half = k @ self.chol_inv.T
+        var = 1.0 - np.einsum("ij,ij->i", half, half)
+        return k @ self.solve, np.sqrt(np.maximum(var, 0.0))
+
 
 def _surrogate_grid() -> tuple[np.ndarray, np.ndarray]:
     """Fixed (lengthscale, noise) candidates: 128 unscrambled Sobol points,
@@ -342,7 +354,7 @@ class SurrogateFactors:
     the first rung.  Refactors are counted in ``counts``.
     """
 
-    def __init__(self, dim: int, capacity: int, counts: TunerCounts | None = None):
+    def __init__(self, dim: int, capacity: int, counts: TunerCounts):
         self.lengthscales, self.noises = _GRID_LENGTHSCALES, _GRID_NOISES
         grid = self.lengthscales.shape[0]
         self.rungs = np.zeros(grid, dtype=int)
@@ -350,7 +362,7 @@ class SurrogateFactors:
         self.units = np.empty((capacity, dim))
         self.chol_inv = np.zeros((grid, capacity, capacity))
         self.size = 0
-        self.counts = TunerCounts() if counts is None else counts
+        self.counts = counts
 
     def extend(self, units: np.ndarray) -> None:
         """Append the rows of ``units`` past the ``size`` already factored."""
@@ -403,19 +415,16 @@ class SurrogateFactors:
         return -0.5 * quad + logdet_half - 0.5 * m * _LOG_2PI, half
 
 
-def fit_surrogate(
-    trials: list[Trial], space: SearchSpace, factors: SurrogateFactors | None = None
-) -> Surrogate:
+def fit_surrogate(trials: list[Trial], space: SearchSpace, factors: SurrogateFactors) -> Surrogate:
     """Fit the Matern-5/2 surrogate to the trials seen so far.
 
     Scores every point of the fixed grid by its marginal log likelihood
     and keeps the first best one, with its inverse factor and solve.
     ``factors`` carries the grid's inverse factors from earlier calls on
-    a prefix of these trials and is extended by the new ones; without it
-    the factors are built here.  Requires at least two trials.  Values
-    with no spread are fitted like any others, with unit scale: z = 0, so
-    the posterior mean is zero and the proposal goes where the sd is
-    largest.
+    a prefix of these trials and is extended by the new ones.  Requires
+    at least two trials.  Values with no spread are fitted like any
+    others, with unit scale: z = 0, so the posterior mean is zero and the
+    proposal goes where the sd is largest.
     """
     if len(trials) < 2:
         raise InputError(f"surrogate needs >= 2 trials, got {len(trials)}")
@@ -426,8 +435,6 @@ def fit_surrogate(
         value_sd = 1.0
     unit = space.to_unit([t.theta for t in trials])
     zvals = (values - value_mean) / value_sd
-    if factors is None:
-        factors = SurrogateFactors(space.dim, len(trials))
     factors.extend(unit)
     scores, half = factors.scores(zvals)
     best = int(np.argmax(scores))
@@ -438,19 +445,6 @@ def fit_surrogate(
         noise_var=float(factors.noises[best]),
         units=unit, chol_inv=chol_inv, solve=half[best] @ chol_inv,
     )
-
-
-def _posterior(surrogate: Surrogate, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Standardized posterior mean and sd at each row of ``points``.
-
-    The mean is k . solve and the variance 1 - |L^-1 k|^2, clamped at 0.
-    """
-    units = surrogate.units
-    sqdist = sum((points[:, j, None] - units[:, j]) ** 2 for j in range(units.shape[1]))
-    k = kernels._matern_from_scaled(np.sqrt(sqdist) / surrogate.lengthscale, 2.5)
-    half = k @ surrogate.chol_inv.T
-    var = 1.0 - np.einsum("ij,ij->i", half, half)
-    return k @ surrogate.solve, np.sqrt(np.maximum(var, 0.0))
 
 
 def _acquisition_with_grad(surrogate: Surrogate, incumbent_std: float):
@@ -509,9 +503,9 @@ def propose_next(
     surrogate: Surrogate,
     space: SearchSpace,
     incumbent: float,
-    restarts: int = 2,
-    seed: int = 0,
-    counts: TunerCounts | None = None,
+    restarts: int,
+    seed: int,
+    counts: TunerCounts,
 ) -> np.ndarray:
     """Maximize log expected improvement over the box.
 
@@ -520,13 +514,12 @@ def propose_next(
     earlier point) with L-BFGS-B.  The best polished endpoint wins, ties
     to the first, so a fixed seed yields a fixed proposal.  If every
     polish fails outright, the best screened point is returned instead.
-    ``counts``, when given, tallies the polishes, the failed ones and the
-    all-failed fallbacks.
+    ``counts`` tallies the polishes, the failed ones and the all-failed
+    fallbacks.
     """
-    counts = TunerCounts() if counts is None else counts
     incumbent_std = surrogate.standardize_value(incumbent)
     screen = _sobol_unit(space.dim, _SCREEN_SIZE, seed=seed, scramble=True)
-    screened = log_ei(*_posterior(surrogate, screen), incumbent_std)
+    screened = log_ei(*surrogate.posterior_unit(screen), incumbent_std)
     starts = screen[np.argsort(-screened, kind="stable")[:restarts]]
     objective = _acquisition_with_grad(surrogate, incumbent_std)
     bounds = [(0.0, 1.0)] * space.dim

@@ -131,10 +131,9 @@ def _dispatch(args, cfg, out: Path) -> int:
         predict_dir = out / f"predict_{kind}"
         if args.tuned is not None:
             theta = _tuned_theta(args.tuned, cfg)
-            result = experiments.run_predict(cfg, theta, series, predict_dir)
+            ev = experiments.run_predict(cfg, theta, series, predict_dir)
         else:
-            _, result = experiments.tune_and_predict(cfg, series, out / f"tune_{kind}", predict_dir)
-        ev = result.evaluation
+            ev = experiments.tune_and_predict(cfg, series, out / f"tune_{kind}", predict_dir)
         print(
             f"{kind}: rmse {ev.rmse:.6f}  mae {ev.mae:.6f}  mcrps {ev.mcrps:.6f}  "
             f"ll_total {ev.ll_total:.6f}"
@@ -158,8 +157,8 @@ def _dispatch(args, cfg, out: Path) -> int:
 
     if args.command == "landscape":
         alpha = args.alpha if args.alpha is not None else cfg.landscape_alpha
-        experiments.run_landscape(cfg, alpha, out / "landscape")
-        print(f"wrote {out / 'landscape' / 'landscape.csv'} (alpha={alpha})")
+        path = experiments.run_landscape(cfg, alpha, out / "landscape")
+        print(f"wrote {path} (alpha={alpha})")
         return 0
 
     if args.command == "ablate":

@@ -1,5 +1,11 @@
 """Experiment orchestration shared by the CLI subcommands; the only writer of run files.
 
+One tune -> predict -> score flow: every ``run_*`` function writes its
+run directory, which it takes as a required argument, and returns only
+what its callers read (:func:`run_predict` the
+:class:`~quack.metrics.Evaluation`; the posteriors stay in
+``predictions.csv``).
+
 Every CSV line is formatted by :func:`_line`, every JSON file written by
 :func:`_write_json`.  Fixed seeds give byte-identical numeric files: the
 data seed fixes the series, the BO seed fixes tuning, and floats are
@@ -10,7 +16,6 @@ non-reproducible output.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import json
 import math
@@ -73,17 +78,15 @@ def search_space_for(cfg: ExperimentConfig) -> bayesopt.SearchSpace:
     return bayesopt.SearchSpace(dims=tuple(dims))
 
 
-def hyperparams_from_theta(
-    names: tuple[str, ...], theta, cfg: ExperimentConfig
-) -> gpr.GprHyperparams:
-    """Unpack a tuner point into GP hyperparameters for ``cfg.kernel``."""
-    values = dict(zip(names, np.asarray(theta, dtype=float)))
+def hyperparams(cfg: ExperimentConfig, theta: dict[str, float]) -> gpr.GprHyperparams:
+    """GP hyperparameters of ``cfg.kernel`` at ``theta``, a tuner point keyed by dimension name."""
+    values = {name: float(v) for name, v in theta.items()}
     noise_var = values.pop("noise_var")
     mean_const = values.pop("mean_const")
     if cfg.kernel == "matern":
         values["nu"] = cfg.matern_nu
-    model = kernels.KernelModel(kind=cfg.kernel, params={k: float(v) for k, v in values.items()})
-    return gpr.GprHyperparams(mean_const=float(mean_const), noise_var=float(noise_var), kernel=model)
+    model = kernels.KernelModel(kind=cfg.kernel, params=values)
+    return gpr.GprHyperparams(mean_const=mean_const, noise_var=noise_var, kernel=model)
 
 
 @dataclass
@@ -91,31 +94,28 @@ class TuneResult:
     theta: dict[str, float]
     incumbent_value: float
     trace: bayesopt.TuneTrace
-    seconds: float
 
 
-def run_tune(
-    cfg: ExperimentConfig, series: timeseries.Series, out_dir: Path | None = None
-) -> TuneResult:
-    """Maximize the training MLL over the hyperparameter box of ``cfg.kernel``."""
+def run_tune(cfg: ExperimentConfig, series: timeseries.Series, out_dir: Path) -> TuneResult:
+    """Maximize the training MLL over the hyperparameter box of ``cfg.kernel``.
+
+    Streams every trial to ``out_dir/trace.csv`` and writes the incumbent
+    to ``out_dir/tuned.json``.
+    """
     train, _ = timeseries.split(series, cfg.window, cfg.train_frac, cfg.train_overlap)
     space = search_space_for(cfg)
 
     def objective(theta):
-        hp = hyperparams_from_theta(space.names, theta, cfg)
-        return gpr.mll(train.X, train.y, hp)
+        return gpr.mll(train.X, train.y, hyperparams(cfg, dict(zip(space.names, theta))))
 
-    with contextlib.ExitStack() as stack:
-        on_trial = None
-        if out_dir is not None:
-            out_dir.mkdir(parents=True, exist_ok=True)
-            fh = stack.enter_context(open(out_dir / "trace.csv", "w", encoding="utf-8"))
-            fh.write(_line(("phase", *(f"theta_{n}" for n in space.names), "value", "timestamp")))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    with open(out_dir / "trace.csv", "w", encoding="utf-8") as fh:
+        fh.write(_line(("phase", *(f"theta_{n}" for n in space.names), "value", "timestamp")))
 
-            def on_trial(phase, theta, value):
-                # Flushed per line so a partial trace survives an aborted run.
-                fh.write(_line((phase, *theta, value, f"{time.time():.6f}")))
-                fh.flush()
+        def on_trial(phase, theta, value):
+            # Flushed per line so a partial trace survives an aborted run.
+            fh.write(_line((phase, *theta, value, f"{time.time():.6f}")))
+            fh.flush()
 
         started = time.perf_counter()
         trace = bayesopt.tune(
@@ -124,107 +124,73 @@ def run_tune(
         )
         seconds = time.perf_counter() - started
     theta = {name: float(v) for name, v in zip(space.names, trace.incumbent_theta)}
-    result = TuneResult(
-        theta=theta, incumbent_value=trace.incumbent_value, trace=trace, seconds=seconds
-    )
-    if out_dir is not None:
-        _write_json(out_dir / "tuned.json", {
-            "kind": cfg.kernel,
-            "theta": theta,
-            "incumbent_value": trace.incumbent_value,
-            "n0": cfg.n0,
-            "n_query": cfg.n_query,
-            "seed_bo": cfg.seed_bo,
-            "tuner": dataclasses.asdict(trace.counts),
-            "timings": {"tune_s": seconds},
-        })
-    return result
-
-
-@dataclass
-class PredictResult:
-    theta: dict[str, float]
-    target_indices: np.ndarray  # 1-based time index of each test target
-    targets: np.ndarray
-    means: np.ndarray
-    var_latent: np.ndarray
-    var_predictive: np.ndarray
-    evaluation: metrics.Evaluation
-    seconds: float
+    _write_json(out_dir / "tuned.json", {
+        "kind": cfg.kernel,
+        "theta": theta,
+        "incumbent_value": trace.incumbent_value,
+        "n0": cfg.n0,
+        "n_query": cfg.n_query,
+        "seed_bo": cfg.seed_bo,
+        "tuner": dataclasses.asdict(trace.counts),
+        "timings": {"tune_s": seconds},
+    })
+    return TuneResult(theta=theta, incumbent_value=trace.incumbent_value, trace=trace)
 
 
 def run_predict(
-    cfg: ExperimentConfig,
-    theta: dict[str, float],
-    series: timeseries.Series,
-    out_dir: Path | None = None,
-) -> PredictResult:
-    """Fit on the training windows and walk the test range at stride 1."""
+    cfg: ExperimentConfig, theta: dict[str, float], series: timeseries.Series, out_dir: Path
+) -> metrics.Evaluation:
+    """Fit on the training windows, walk the test range at stride 1 and score it.
+
+    Writes the posteriors to ``out_dir/predictions.csv`` and the
+    evaluation to ``out_dir/record.json``.
+    """
     train, test = timeseries.split(series, cfg.window, cfg.train_frac, cfg.train_overlap)
-    space = search_space_for(cfg)
-    theta_vec = np.array([theta[name] for name in space.names])
-    hp = hyperparams_from_theta(space.names, theta_vec, cfg)
+    hp = hyperparams(cfg, theta)
     started = time.perf_counter()
     model = gpr.fit(train.X, train.y, hp)
     means, var_latent = gpr.predict_batch(model, test.X)
     seconds = time.perf_counter() - started
     var_predictive = var_latent + hp.noise_var
     evaluation = metrics.evaluate_forecast(means, var_predictive, test.y)
-    result = PredictResult(
-        theta=dict(theta),
-        target_indices=test.starts + cfg.window + 1,
-        targets=test.y, means=means,
-        var_latent=var_latent, var_predictive=var_predictive,
-        evaluation=evaluation, seconds=seconds,
+    out_dir.mkdir(parents=True, exist_ok=True)
+    half = Z95 * np.sqrt(var_predictive)
+    _write_csv(
+        out_dir / "predictions.csv",
+        ("index", "target", "mean", "var_latent", "var_predictive", "lower95", "upper95"),
+        # index: the 1-based time index of each test target
+        zip(test.starts + cfg.window + 1, test.y, means, var_latent, var_predictive,
+            means - half, means + half),
     )
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        half = Z95 * np.sqrt(var_predictive)
-        _write_csv(
-            out_dir / "predictions.csv",
-            ("index", "target", "mean", "var_latent", "var_predictive", "lower95", "upper95"),
-            zip(result.target_indices, test.y, means, var_latent, var_predictive,
-                means - half, means + half),
-        )
-        _write_json(out_dir / "record.json", run_record(cfg, result))
-    return result
-
-
-def run_record(cfg: ExperimentConfig, result: PredictResult) -> dict:
-    """JSON-serializable record of one prediction run."""
-    return {
+    _write_json(out_dir / "record.json", {
         "kind": cfg.kernel,
         "config": snapshot(cfg),
-        "theta": result.theta,
-        "evaluation": result.evaluation.as_dict(),
-        "timings": {"predict_s": result.seconds},
-    }
+        "theta": dict(theta),
+        "evaluation": evaluation.as_dict(),
+        "timings": {"predict_s": seconds},
+    })
+    return evaluation
 
 
 def tune_and_predict(
-    cfg: ExperimentConfig,
-    series: timeseries.Series,
-    tune_dir: Path | None = None,
-    predict_dir: Path | None = None,
-) -> tuple[TuneResult, PredictResult]:
-    """:func:`run_tune`, then :func:`run_predict` at the tuned incumbent."""
-    tuned = run_tune(cfg, series, tune_dir)
-    return tuned, run_predict(cfg, tuned.theta, series, predict_dir)
+    cfg: ExperimentConfig, series: timeseries.Series, tune_dir: Path, predict_dir: Path
+) -> metrics.Evaluation:
+    """:func:`run_tune` into ``tune_dir``, then :func:`run_predict` at the
+    tuned incumbent into ``predict_dir``."""
+    return run_predict(cfg, run_tune(cfg, series, tune_dir).theta, series, predict_dir)
 
 
 @dataclass
 class SweepRow:
     """One unit of a sweep: a kernel of ``compare`` or a window length of ``ablate``.
 
-    ``evaluation`` and ``theta`` are those of the unit's best run by test
-    ``ll_total``, and ``matern_nu`` is that run's smoothness when the
-    kernel is Matern.  A unit whose run raised has no evaluation and its
-    ``error`` set.
+    ``evaluation`` is that of the unit's best run by test ``ll_total``,
+    and ``matern_nu`` is that run's smoothness when the kernel is Matern.
+    A unit whose run raised has no evaluation and its ``error`` set.
     """
 
     label: str
     evaluation: metrics.Evaluation | None
-    theta: dict[str, float] | None
     error: str | None = None
     matern_nu: float | None = None
 
@@ -232,7 +198,7 @@ class SweepRow:
 def _sweep(
     units: list[tuple[str, list[tuple[ExperimentConfig, str]]]],
     series: timeseries.Series,
-    out_dir: Path | None,
+    out_dir: Path,
 ) -> list[SweepRow]:
     """Tune and predict every run of every unit, one row per unit.
 
@@ -246,19 +212,17 @@ def _sweep(
         try:
             row = None
             for run_cfg, rel in runs:
-                run_dir = out_dir / rel if out_dir is not None else None
-                tuned, pred = tune_and_predict(run_cfg, series, run_dir, run_dir)
-                if row is None or pred.evaluation.ll_total > row.evaluation.ll_total:
+                evaluation = tune_and_predict(run_cfg, series, out_dir / rel, out_dir / rel)
+                if row is None or evaluation.ll_total > row.evaluation.ll_total:
                     nu = run_cfg.matern_nu if run_cfg.kernel == "matern" else None
-                    row = SweepRow(label, pred.evaluation, tuned.theta, matern_nu=nu)
+                    row = SweepRow(label, evaluation, matern_nu=nu)
         except Exception as exc:  # noqa: BLE001 - per-unit isolation is the contract
-            row = SweepRow(label, None, None, error=str(exc) or repr(exc))
+            row = SweepRow(label, None, error=str(exc) or repr(exc))
         rows.append(row)
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        failures = {row.label: row.error for row in rows if row.error}
-        if failures:
-            _write_json(out_dir / "failures.json", failures)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    failures = {row.label: row.error for row in rows if row.error}
+    if failures:
+        _write_json(out_dir / "failures.json", failures)
     return rows
 
 
@@ -270,7 +234,7 @@ def _write_table(path: Path, first: str, rows: list[SweepRow], fields: tuple[str
     ])
 
 
-def run_compare(cfg: ExperimentConfig, out_dir: Path | None = None) -> list[SweepRow]:
+def run_compare(cfg: ExperimentConfig, out_dir: Path) -> list[SweepRow]:
     """Tune, predict and evaluate every kernel on the same series and split.
 
     Each run gets its own config, ``cfg`` with that run's kernel and
@@ -291,16 +255,15 @@ def run_compare(cfg: ExperimentConfig, out_dir: Path | None = None) -> list[Swee
             runs = [(kind_cfg, kind)]
         units.append((kind, runs))
     rows = _sweep(units, build_series(cfg), out_dir)
-    if out_dir is not None:
-        matern = rows[kernels.KERNEL_KINDS.index("matern")]
-        if cfg.matern_all and matern.evaluation is not None:
-            selected = {"matern_nu": matern.matern_nu, "ll_total": matern.evaluation.ll_total}
-            _write_json(out_dir / "matern" / "selected.json", selected)
-        fields = metrics.Evaluation.METRIC_FIELDS
-        _write_table(out_dir / "table.csv", "kernel", rows, fields)
-        flags = compare_flags(rows)
-        _write_csv(out_dir / "flags.csv", ("kernel", *fields),
-                   ((row.label, *flags[row.label]) for row in rows))
+    matern = rows[kernels.KERNEL_KINDS.index("matern")]
+    if cfg.matern_all and matern.evaluation is not None:
+        selected = {"matern_nu": matern.matern_nu, "ll_total": matern.evaluation.ll_total}
+        _write_json(out_dir / "matern" / "selected.json", selected)
+    fields = metrics.Evaluation.METRIC_FIELDS
+    _write_table(out_dir / "table.csv", "kernel", rows, fields)
+    flags = compare_flags(rows)
+    _write_csv(out_dir / "flags.csv", ("kernel", *fields),
+               ((row.label, *flags[row.label]) for row in rows))
     return rows
 
 
@@ -348,18 +311,18 @@ def landscape_grid(cfg: ExperimentConfig, alpha: float, series: timeseries.Serie
     return axis, values.reshape(m, m)
 
 
-def run_landscape(cfg: ExperimentConfig, alpha: float, out_dir: Path | None = None) -> tuple[np.ndarray, np.ndarray]:
-    series = build_series(cfg)
-    axis, values = landscape_grid(cfg, alpha, series)
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _write_csv(out_dir / "landscape.csv", ("x1", "x2", "value"), (
-            (x1, x2, values[i, j]) for i, x1 in enumerate(axis) for j, x2 in enumerate(axis)
-        ))
-    return axis, values
+def run_landscape(cfg: ExperimentConfig, alpha: float, out_dir: Path) -> Path:
+    """Write the fidelity grid of :func:`landscape_grid` to ``out_dir/landscape.csv``."""
+    axis, values = landscape_grid(cfg, alpha, build_series(cfg))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    path = out_dir / "landscape.csv"
+    _write_csv(path, ("x1", "x2", "value"), (
+        (x1, x2, values[i, j]) for i, x1 in enumerate(axis) for j, x2 in enumerate(axis)
+    ))
+    return path
 
 
-def run_ablate(cfg: ExperimentConfig, out_dir: Path | None = None) -> list[SweepRow]:
+def run_ablate(cfg: ExperimentConfig, out_dir: Path) -> list[SweepRow]:
     """Retune and re-predict the quantum model at each window length.
 
     Uses the ablation profile: longer series and wider window overlap so
@@ -378,8 +341,7 @@ def run_ablate(cfg: ExperimentConfig, out_dir: Path | None = None) -> list[Sweep
         for w in cfg.ablate_qubits
     ]
     rows = _sweep(units, build_series(base), out_dir)
-    if out_dir is not None:
-        _write_table(out_dir / "ablate.csv", "qubits", rows, ("ll_total", "mae"))
+    _write_table(out_dir / "ablate.csv", "qubits", rows, ("ll_total", "mae"))
     return rows
 
 

@@ -18,6 +18,7 @@ import json
 import math
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -197,20 +198,25 @@ COMPARISON_SEEDS = range(5)
 
 
 def _comparison_runs() -> dict:
-    """data seed -> kind -> (TuneResult, PredictResult) at the default config."""
+    """data seed -> kind -> (TuneResult, Evaluation) at the default config.
+
+    The run files go to a temporary directory that is removed afterwards.
+    """
     runs = {}
-    for seed in COMPARISON_SEEDS:
-        cfg = load_config(env={})
-        cfg.gen.seed = seed
-        series = experiments.build_series(cfg)
-        per_kind = {}
-        for kind in COMPARISON_KINDS:
-            kind_cfg = dataclasses.replace(cfg, kernel=kind)
-            tuned = experiments.run_tune(kind_cfg, series)
-            assert len(tuned.trace.trials) == 50  # n0 + n_query objective calls
-            pred = experiments.run_predict(kind_cfg, tuned.theta, series)
-            per_kind[kind] = (tuned, pred)
-        runs[seed] = per_kind
+    with tempfile.TemporaryDirectory() as tmp:
+        for seed in COMPARISON_SEEDS:
+            cfg = load_config(env={})
+            cfg.gen.seed = seed
+            series = experiments.build_series(cfg)
+            per_kind = {}
+            for kind in COMPARISON_KINDS:
+                kind_cfg = dataclasses.replace(cfg, kernel=kind)
+                run_dir = Path(tmp) / f"seed_{seed}" / kind
+                tuned = experiments.run_tune(kind_cfg, series, run_dir)
+                assert len(tuned.trace.trials) == 50  # n0 + n_query objective calls
+                evaluation = experiments.run_predict(kind_cfg, tuned.theta, series, run_dir)
+                per_kind[kind] = (tuned, evaluation)
+            runs[seed] = per_kind
     return runs
 
 
@@ -225,8 +231,8 @@ def comparison_runs():
 
 def test_criterion_6a_iqp_tracks_rbf(comparison_runs):
     for seed, per_kind in comparison_runs.items():
-        iqp = per_kind["iqp"][1].evaluation
-        rbf = per_kind["rbf"][1].evaluation
+        iqp = per_kind["iqp"][1]
+        rbf = per_kind["rbf"][1]
         for name in ("smape", "mae", "rmse", "mcrps"):
             iqp_v = getattr(iqp, name)
             rbf_v = getattr(rbf, name)
@@ -237,7 +243,7 @@ def test_criterion_6a_iqp_tracks_rbf(comparison_runs):
 
 def test_criterion_6b_iqp_ll_vs_matern(comparison_runs):
     wins = sum(
-        per_kind["iqp"][1].evaluation.ll_total >= per_kind["matern"][1].evaluation.ll_total
+        per_kind["iqp"][1].ll_total >= per_kind["matern"][1].ll_total
         for per_kind in comparison_runs.values()
     )
     assert wins >= 3, (

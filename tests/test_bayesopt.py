@@ -224,13 +224,18 @@ def _quadratic_trials(space, n=40, seed=0):
     return [Trial(theta=t, value=v, phase="sobol") for t, v in zip(thetas, values)]
 
 
+def _fit(trials, space):
+    """The surrogate of ``trials`` on fresh grid factors, as the tuner's first step fits it."""
+    return fit_surrogate(trials, space, SurrogateFactors(space.dim, len(trials), TunerCounts()))
+
+
 def _matern52(units, u, lengthscale):
     """Matern-5/2 kernel between the rows of ``units`` and the point(s) ``u``."""
     d = np.sqrt(np.sum((units - u) ** 2, axis=-1)) / lengthscale
     return (1.0 + math.sqrt(5.0) * d + 5.0 * d * d / 3.0) * np.exp(-math.sqrt(5.0) * d)
 
 
-def _posterior(surrogate, u):
+def _reference_posterior(surrogate, u):
     """Reference mean and sd at a unit point, by the operations of a GP
     posterior: k from the kernel formula, mean k . solve, variance
     1 - |L^-1 k|^2 (clamped at 0)."""
@@ -246,19 +251,26 @@ class TestSurrogate:
             Trial(theta=np.array([0.2, 0.2, 0.2]), value=1.0, phase="sobol"),
             Trial(theta=np.array([0.8, 0.8, 0.8]), value=1.0, phase="sobol"),
         ]
-        surrogate = fit_surrogate(trials, UNIT3)
+        surrogate = _fit(trials, UNIT3)
         assert surrogate.value_mean == 1.0 and surrogate.value_sd == 1.0
         assert surrogate.units is not None and surrogate.chol_inv is not None
         assert surrogate.solve is not None and not np.any(surrogate.solve)
 
     def test_posterior_mean_interpolates_trials(self):
         trials = _quadratic_trials(UNIT3, n=30)
-        surrogate = fit_surrogate(trials, UNIT3)
+        surrogate = _fit(trials, UNIT3)
         noise_sd = math.sqrt(surrogate.noise_var)
         units = np.array([UNIT3.to_unit(t.theta) for t in trials])
-        means = np.array([_posterior(surrogate, u)[0] for u in units])
+        means = np.array([_reference_posterior(surrogate, u)[0] for u in units])
         zvals = (np.array([t.value for t in trials]) - surrogate.value_mean) / surrogate.value_sd
         assert np.abs(means - zvals).max() <= 3.0 * noise_sd
+
+    def test_posterior_unit_matches_reference(self):
+        surrogate = _fit(_quadratic_trials(UNIT3, n=30, seed=5), UNIT3)
+        points = bayesopt._sobol_unit(3, 63, seed=8, scramble=True)
+        means, sds = surrogate.posterior_unit(points)
+        reference = np.array([_reference_posterior(surrogate, u) for u in points])
+        assert _close(means, reference[:, 0]) and _close(sds, reference[:, 1])
 
     def test_normalized_inputs_in_unit_cube(self):
         space = SearchSpace(dims=(("a", -5.0, 5.0), ("b", 0.1, 30.0)))
@@ -267,16 +279,16 @@ class TestSurrogate:
             Trial(theta=np.array([5.0, 30.0]), value=1.0, phase="sobol"),
             Trial(theta=np.array([0.0, 10.0]), value=0.5, phase="sobol"),
         ]
-        surrogate = fit_surrogate(trials, space)
+        surrogate = _fit(trials, space)
         assert np.all(surrogate.units >= 0.0) and np.all(surrogate.units <= 1.0)
 
     def test_needs_two_trials(self):
         with pytest.raises(InputError):
-            fit_surrogate([Trial(np.zeros(3), 0.0, "sobol")], UNIT3)
+            _fit([Trial(np.zeros(3), 0.0, "sobol")], UNIT3)
 
 
 def _log_ei_at(surrogate, u, incumbent_std):
-    return log_ei(*_posterior(surrogate, u), incumbent_std)
+    return log_ei(*_reference_posterior(surrogate, u), incumbent_std)
 
 
 def _central_differences(surrogate, u, incumbent_std, step=1e-6):
@@ -292,7 +304,7 @@ def _central_differences(surrogate, u, incumbent_std, step=1e-6):
 
 
 _TRIALS = _quadratic_trials(UNIT3, n=30, seed=5)
-_SURROGATE = fit_surrogate(_TRIALS, UNIT3)
+_SURROGATE = _fit(_TRIALS, UNIT3)
 
 
 class TestAnalyticAcquisition:
@@ -306,7 +318,7 @@ class TestAnalyticAcquisition:
         assert np.linalg.norm(-grad - fd) <= 1e-6 * np.linalg.norm(fd)
 
     def _incumbent_for(self, surrogate, u, delta):
-        mean, sd = _posterior(surrogate, u)
+        mean, sd = _reference_posterior(surrogate, u)
         assert sd > 0.0
         return mean - delta * sd
 
@@ -331,7 +343,7 @@ class TestAnalyticAcquisition:
         # it on ill-conditioned surrogates; log-EI is then log(mean - f*).
         clamped = dataclasses.replace(_SURROGATE, chol_inv=2.0 * _SURROGATE.chol_inv)
         u = UNIT3.to_unit(_TRIALS[0].theta)
-        mean, sd = _posterior(clamped, u)
+        mean, sd = _reference_posterior(clamped, u)
         assert sd == 0.0
         self._check(clamped, u, mean - 0.5)
         value, grad = bayesopt._acquisition_with_grad(clamped, mean + 0.5)(u)
@@ -341,7 +353,7 @@ class TestAnalyticAcquisition:
         # All-equal values give a zero posterior mean; the acquisition is
         # still a smooth function of the sd and its gradient is exact.
         trials = [Trial(theta=np.full(3, x), value=-3.7, phase="sobol") for x in (0.2, 0.5, 0.8)]
-        surrogate = fit_surrogate(trials, UNIT3)
+        surrogate = _fit(trials, UNIT3)
         for u in (np.array([0.31, 0.62, 0.47]), np.array([0.9, 0.1, 0.75])):
             self._check(surrogate, u, surrogate.standardize_value(-3.7))
 
@@ -370,7 +382,7 @@ class TestSurrogateGrid:
             regularized.append(a)
             mlls.append(-0.5 * quad - 0.5 * logdet - 0.5 * m * math.log(2.0 * math.pi))
         best = int(np.argmax(mlls))
-        surrogate = fit_surrogate(trials, UNIT3)
+        surrogate = _fit(trials, UNIT3)
         assert (surrogate.lengthscale, surrogate.noise_var) == (lengthscales[best], noises[best])
         inv = surrogate.chol_inv
         assert _close(inv @ regularized[best] @ inv.T, np.eye(m))
@@ -392,13 +404,14 @@ def _direct_scores(unit, zvals, ridge):
 
 
 @pytest.fixture(scope="module")
-def tuned_trials():
+def tuned_trials(tmp_path_factory):
     """kind -> the 50 trials (unit points, values) of a default tune."""
     out = {}
     for kind in ("iqp", "rbf", "matern"):
         cfg = load_config(env={})
         cfg.kernel = kind
-        tuned = experiments.run_tune(cfg, experiments.build_series(cfg))
+        run_dir = tmp_path_factory.mktemp(f"tune_{kind}")
+        tuned = experiments.run_tune(cfg, experiments.build_series(cfg), run_dir)
         space = experiments.search_space_for(cfg)
         unit = np.array([space.to_unit(t.theta) for t in tuned.trace.trials])
         out[kind] = (unit, np.array([t.value for t in tuned.trace.trials]))
@@ -409,7 +422,7 @@ class TestSurrogateFactors:
     @pytest.mark.parametrize("kind", ["iqp", "rbf", "matern"])
     def test_every_grid_score_matches_direct_inversion(self, tuned_trials, kind):
         unit, values = tuned_trials[kind]
-        factors = SurrogateFactors(unit.shape[1], 49)
+        factors = SurrogateFactors(unit.shape[1], 49, TunerCounts())
         for m in range(2, 50):
             factors.extend(unit[:m])
             zvals = (values[:m] - values[:m].mean()) / values[:m].std()
@@ -421,7 +434,7 @@ class TestSurrogateFactors:
     def test_small_pivot_refactors_at_next_rung(self, tuned_trials):
         unit, values = tuned_trials["iqp"]
         m = 30
-        factors = SurrogateFactors(unit.shape[1], m)
+        factors = SurrogateFactors(unit.shape[1], m, TunerCounts())
         factors.extend(unit[: m - 1])
         g = int(np.argmax(factors.lengthscales))
         # A tenfold inverse factor makes |l|^2 about 100 times its true value
@@ -442,10 +455,10 @@ class TestSurrogateFactors:
 
     def test_fit_surrogate_extends_the_given_factors(self):
         trials = _quadratic_trials(UNIT3, n=20, seed=3)
-        factors = SurrogateFactors(3, 20)
+        factors = SurrogateFactors(3, 20, TunerCounts())
         fit_surrogate(trials[:12], UNIT3, factors)
         grown = fit_surrogate(trials, UNIT3, factors)
-        fresh = fit_surrogate(trials, UNIT3)
+        fresh = _fit(trials, UNIT3)
         assert factors.size == 20
         assert (grown.lengthscale, grown.noise_var) == (fresh.lengthscale, fresh.noise_var)
         assert np.array_equal(grown.chol_inv, fresh.chol_inv)
@@ -499,14 +512,14 @@ class TestProposeNext:
         # No spread: unit scale and z = 0, so the posterior mean is zero
         # everywhere and the proposal goes where the sd is largest.
         trials = [Trial(theta=np.full(3, x), value=-3.7, phase="sobol") for x in (0.2, 0.5, 0.8)]
-        surrogate = fit_surrogate(trials, UNIT3)
+        surrogate = _fit(trials, UNIT3)
         assert surrogate.value_sd == 1.0
         screen, reference = _screen_reference(surrogate, -3.7, seed=3)
         for u in screen:
-            mean, sd = _posterior(surrogate, u)
+            mean, sd = _reference_posterior(surrogate, u)
             assert abs(mean) <= 1e-12
             assert math.isfinite(sd) and sd <= 1.0
-        proposal = propose_next(surrogate, UNIT3, -3.7, restarts=4, seed=3)
+        proposal = propose_next(surrogate, UNIT3, -3.7, restarts=4, seed=3, counts=TunerCounts())
         incumbent_std = surrogate.standardize_value(-3.7)
         assert _log_ei_at(surrogate, UNIT3.to_unit(proposal), incumbent_std) >= reference.max()
 
@@ -517,9 +530,11 @@ class TestProposeNext:
             Trial(theta=np.array([g]), value=-((g - 0.3) ** 2), phase="sobol")
             for g in grid
         ]
-        surrogate = fit_surrogate(trials, space)
+        surrogate = _fit(trials, space)
         incumbent = max(t.value for t in trials)
-        proposal = propose_next(surrogate, space, incumbent, restarts=16, seed=1)
+        proposal = propose_next(
+            surrogate, space, incumbent, restarts=16, seed=1, counts=TunerCounts()
+        )
         assert abs(proposal[0] - 0.3) < 1e-3
 
     def test_proposal_inside_box(self):
@@ -533,16 +548,18 @@ class TestProposeNext:
             )
             for _ in range(12)
         ]
-        surrogate = fit_surrogate(trials, space)
+        surrogate = _fit(trials, space)
         for seed in range(5):
-            proposal = propose_next(surrogate, space, 0.5, restarts=4, seed=seed)
+            proposal = propose_next(
+                surrogate, space, 0.5, restarts=4, seed=seed, counts=TunerCounts()
+            )
             assert np.all(proposal >= space.lower) and np.all(proposal <= space.upper)
 
     def test_deterministic_per_seed(self):
         trials = _quadratic_trials(UNIT3, n=25)
-        surrogate = fit_surrogate(trials, UNIT3)
-        first = propose_next(surrogate, UNIT3, -0.01, restarts=8, seed=3)
-        second = propose_next(surrogate, UNIT3, -0.01, restarts=8, seed=3)
+        surrogate = _fit(trials, UNIT3)
+        first = propose_next(surrogate, UNIT3, -0.01, restarts=8, seed=3, counts=TunerCounts())
+        second = propose_next(surrogate, UNIT3, -0.01, restarts=8, seed=3, counts=TunerCounts())
         assert np.array_equal(first, second)
 
 

@@ -324,7 +324,7 @@ class TestCompareCommand:
         cfg.n0, cfg.n_query, cfg.restarts = 4, 2, 4
         real_tune = experiments.run_tune
 
-        def failing_tune(cfg, series, out_dir=None):
+        def failing_tune(cfg, series, out_dir):
             if cfg.kernel == "rq":
                 raise RuntimeError("synthetic failure")
             return real_tune(cfg, series, out_dir)
@@ -379,7 +379,7 @@ class TestAblateCommand:
         cfg.ablate_qubits, cfg.ablate_n_steps = (5, 6, 7), 120
         real_tune_and_predict = experiments.tune_and_predict
 
-        def failing_tune_and_predict(cfg, series, tune_dir=None, predict_dir=None):
+        def failing_tune_and_predict(cfg, series, tune_dir, predict_dir):
             if cfg.window == 6:
                 raise RuntimeError("synthetic failure")
             return real_tune_and_predict(cfg, series, tune_dir, predict_dir)
@@ -401,7 +401,7 @@ class TestAblateCommand:
             assert (tmp_path / f"qubits_{w}" / "record.json").is_file()
 
     def test_failure_without_message_is_recorded(self, tmp_path, monkeypatch):
-        def failing_tune_and_predict(cfg, series, tune_dir=None, predict_dir=None):
+        def failing_tune_and_predict(cfg, series, tune_dir, predict_dir):
             raise RuntimeError()
 
         monkeypatch.setattr(experiments, "tune_and_predict", failing_tune_and_predict)

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import LinAlgError, cho_solve, cholesky
 
 import oracles
@@ -207,6 +209,45 @@ class TestMll:
         hp = _hp(noise=0.25)
         perm = rng.permutation(9)
         assert abs(mll(X, y, hp) - mll(X[:, perm], y[perm], hp)) < 1e-10
+
+
+class TestDirectInversionProperty:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        kind=st.sampled_from(["rbf", "matern", "rq", "periodic", "iqp"]),
+        nu=st.sampled_from(kernels.MATERN_NUS),
+        c=st.integers(1, 8),
+        w=st.integers(1, 4),
+        noise_var=st.floats(1e-3, 1.0),
+        mean=st.floats(-1.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_posterior_and_mll_match_solve_and_slogdet(
+        self, kind, nu, c, w, noise_var, mean, seed
+    ):
+        # Every entry from the per-pair kernel oracle; the posterior and the
+        # MLL from np.linalg.solve and slogdet of K + (noise + jitter) I.
+        rng = np.random.default_rng(seed)
+        X, y, Xq = rng.normal(size=(w, c)), rng.normal(size=c), rng.normal(size=(w, 3))
+        hp = _hp(kind, mean=mean, noise=noise_var, **({"nu": nu} if kind == "matern" else {}))
+        model = fit(X, y, hp)
+        assert model.jitter == JITTER0
+
+        def k(A, B):
+            return np.array([[oracles.evaluate(hp.kernel, a, b) for b in B.T] for a in A.T])
+
+        big_k = k(X, X) + (noise_var + JITTER0) * np.eye(c)
+        resid = y - mean
+        kq = k(X, Xq)
+        means, variances = predict_batch(model, Xq)
+        assert np.allclose(means, mean + kq.T @ np.linalg.solve(big_k, resid), rtol=0, atol=1e-8)
+        var_ref = np.diag(k(Xq, Xq)) - np.einsum("ij,ij->j", kq, np.linalg.solve(big_k, kq))
+        assert np.allclose(variances, np.maximum(var_ref, 0.0), rtol=0, atol=1e-8)
+        sign, logdet = np.linalg.slogdet(big_k)
+        assert sign > 0
+        quad = resid @ np.linalg.solve(big_k, resid)
+        mll_ref = -0.5 * quad - 0.5 * logdet - 0.5 * c * math.log(2 * math.pi)
+        assert mll(X, y, hp) == pytest.approx(mll_ref, abs=1e-8)
 
 
 def _low_rank_gram(c, scale, seed=1):

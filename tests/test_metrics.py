@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import norm
 
@@ -185,3 +187,51 @@ class TestEvaluateForecast:
         assert ev.mcrps >= 0.0
         assert ev.ll_mean == pytest.approx(ev.ll_total / 25.0, abs=1e-12)
         assert ev.as_dict()["smape"] == ev.smape
+
+
+def _signed(lo, hi):
+    """Floats with lo <= |value| <= hi, of either sign."""
+    return st.tuples(st.floats(lo, hi), st.booleans()).map(lambda p: p[0] if p[1] else -p[0])
+
+
+# (target, mean - target, variance) per test point: targets and errors
+# bounded away from zero, so MAPE, sMAPE and every relative check are
+# well defined, and variances above 1 / (2 pi), so every log-likelihood
+# term is negative and no sum cancels.
+_POINTS = st.lists(
+    st.tuples(_signed(0.1, 3.0), _signed(0.05, 2.0), st.floats(0.2, 4.0)),
+    min_size=1, max_size=30,
+)
+
+
+def _arrays(points):
+    targets, errors, variances = (np.array(column) for column in zip(*points))
+    return targets + errors, variances, targets
+
+
+class TestEvaluationInvariance:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(points=_POINTS, data=st.data())
+    def test_permuting_test_points(self, points, data):
+        # Only the summation order changes, so every field agrees to 1e-12.
+        means, variances, targets = _arrays(points)
+        perm = np.array(data.draw(st.permutations(range(len(points)))))
+        base = evaluate_forecast(means, variances, targets).as_dict()
+        permuted = evaluate_forecast(means[perm], variances[perm], targets[perm]).as_dict()
+        for name, value in base.items():
+            if isinstance(value, int):
+                assert permuted[name] == value, name
+            else:
+                assert math.isclose(permuted[name], value, rel_tol=1e-12, abs_tol=0.0), name
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(points=_POINTS, shift=st.floats(-10.0, 10.0))
+    def test_shifting_means_and_targets(self, points, shift):
+        # The errors are recomputed from shifted values and round differently;
+        # MAPE, sMAPE and WAPE divide by the targets and are not shift-invariant.
+        means, variances, targets = _arrays(points)
+        base = evaluate_forecast(means, variances, targets)
+        shifted = evaluate_forecast(means + shift, variances, targets + shift)
+        for name in ("mse", "rmse", "mae", "mcrps", "ll_mean", "ll_total"):
+            value, moved = getattr(base, name), getattr(shifted, name)
+            assert math.isclose(moved, value, rel_tol=1e-9, abs_tol=0.0), name

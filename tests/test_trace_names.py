@@ -1,9 +1,11 @@
-"""The benchmark's span tracer (bench/spans.py) sees quack's kernel layer.
+"""The benchmark's span tracer (bench/spans.py) sees quack's layers.
 
 The tracer wraps module attributes by name and reports zeros for names
-that do not exist, so a renamed kernel function silently drops out of the
-per-layer metrics.  This runs one traced IQP prediction and checks that
-the cross-kernel spans and the overlap flop count see it.
+that do not exist, so a renamed function silently drops out of the
+per-layer metrics.  These tests check that every wrapped name resolves,
+and run a traced IQP prediction and a traced tune to check that the
+cross-kernel spans, the overlap flop count and the posterior point count
+see them.
 """
 
 import types
@@ -24,6 +26,47 @@ def _load_spans():
     return module
 
 
+# Names bench/spans.py still wraps that quack no longer has, to mend at
+# the next change to the benchmark; see the CHANGES.md line "FOUND:
+# bench/spans.py still wraps `qkernel.embed` and `kernels.self_diag`".
+KNOWN_MISSING = {("qkernel", "embed"), ("kernels", "self_diag")}
+
+
+def _modules():
+    return {
+        "qkernel": qkernel, "kernels": kernels, "gpr": gpr, "bayesopt": bayesopt,
+        "metrics": metrics, "timeseries": timeseries, "experiments": experiments,
+    }
+
+
+def test_every_wrapped_name_resolves():
+    # Resolved as Tracer.install resolves them, so a rename in quack fails
+    # here instead of zeroing a per-layer metric.
+    spans = _load_spans()
+    tracer = spans.Tracer(_modules())
+    missing = set()
+    for module_name, attr, _ in spans.SPANS:
+        owner, leaf = tracer._owner(module_name, attr)
+        if owner is None or leaf not in vars(owner):
+            missing.add((module_name, attr))
+    assert missing <= KNOWN_MISSING, sorted(missing - KNOWN_MISSING)
+
+
+def test_tracer_counts_posterior_points_per_proposal():
+    spans = _load_spans()
+    space = bayesopt.SearchSpace(dims=(("a", 0.0, 1.0), ("b", 0.0, 1.0), ("c", 0.0, 1.0)))
+    tracer = spans.Tracer(_modules())
+    tracer.install()
+    try:
+        bayesopt.tune(lambda theta: -float(np.sum((theta - 0.3) ** 2)), space, 4, 3, seed=1)
+    finally:
+        tracer.uninstall()
+    assert tracer.restored()
+    assert tracer.spans["bayesopt.propose_next"][0] == 3
+    assert tracer.spans["bayesopt.posterior"][0] == 3
+    assert tracer.counts["bayesopt.posterior.points"] == 3 * 1023
+
+
 def test_tracer_sees_iqp_prediction():
     spans = _load_spans()
     rng = np.random.default_rng(41)
@@ -33,10 +76,7 @@ def test_tracer_sees_iqp_prediction():
         mean_const=0.0, noise_var=0.1, kernel=kernels.KernelModel("iqp", {"alpha": 0.4})
     )
     model = gpr.fit(X, rng.normal(size=c), hp)
-    tracer = spans.Tracer({
-        "qkernel": qkernel, "kernels": kernels, "gpr": gpr, "bayesopt": bayesopt,
-        "metrics": metrics, "timeseries": timeseries, "experiments": experiments,
-    })
+    tracer = spans.Tracer(_modules())
     tracer.install()
     try:
         gpr.predict_batch(model, rng.normal(size=(n, c2)))
