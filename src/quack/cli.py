@@ -2,7 +2,9 @@
 
 Subcommands: generate, tune, predict, compare, landscape, ablate.  Exit
 code 0 on success, else the ``exit_code`` of the package error raised
-(see :mod:`quack.errors`).
+(see :mod:`quack.errors`).  Every run pins numpy's and scipy's OpenBLAS to
+one thread (:mod:`quack.blas`) and says so on standard error when it
+cannot.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import experiments
+from . import blas, experiments
 from .config import describe_schema, load_config
 from .errors import ConfigError, QuackError
 
@@ -92,6 +94,10 @@ def _tuned_theta(path: Path, cfg) -> dict:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    unpinned = [pool for pool, count in blas.set_threads(1).items() if count is None]
+    if unpinned:
+        print(f"warning: cannot set the BLAS thread count of {', '.join(unpinned)}",
+              file=sys.stderr)
     try:
         cfg = load_config(args.config)
         if args.seed_data is not None:

@@ -11,7 +11,8 @@ Every CSV line is formatted by :func:`_line`, every JSON file written by
 data seed fixes the series, the BO seed fixes tuning, and floats are
 printed with 17 significant digits.  Wall-clock values (``timings`` in
 the JSON records, the last column of ``trace.csv``) are the only
-non-reproducible output.
+non-reproducible output; ``timings`` also records the BLAS thread counts
+(:func:`quack.blas.threads`).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bayesopt, gpr, kernels, metrics, timeseries
+from . import bayesopt, blas, gpr, kernels, metrics, timeseries
 from .config import ExperimentConfig, snapshot
 from .errors import ConfigError
 
@@ -132,7 +133,7 @@ def run_tune(cfg: ExperimentConfig, series: timeseries.Series, out_dir: Path) ->
         "n_query": cfg.n_query,
         "seed_bo": cfg.seed_bo,
         "tuner": dataclasses.asdict(trace.counts),
-        "timings": {"tune_s": seconds},
+        "timings": {"tune_s": seconds, "blas_threads": blas.threads()},
     })
     return TuneResult(theta=theta, incumbent_value=trace.incumbent_value, trace=trace)
 
@@ -167,7 +168,7 @@ def run_predict(
         "config": snapshot(cfg),
         "theta": dict(theta),
         "evaluation": evaluation.as_dict(),
-        "timings": {"predict_s": seconds},
+        "timings": {"predict_s": seconds, "blas_threads": blas.threads()},
     })
     return evaluation
 

@@ -46,6 +46,22 @@ def embed_dense(x, params) -> np.ndarray:
     return unitary @ start
 
 
+def hadamard_transform(v) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform of a length-2^n vector.
+
+    Reshapes the vector to one axis of length 2 per index bit and replaces
+    each axis's pair (a, b) by (a + b, a - b) in turn; the order of the
+    axes does not change the transform.
+    """
+    v = np.asarray(v)
+    n = v.shape[0].bit_length() - 1
+    t = v.reshape((2,) * n)
+    for axis in range(n):
+        a, b = np.take(t, 0, axis=axis), np.take(t, 1, axis=axis)
+        t = np.stack([a + b, a - b], axis=axis)
+    return t.reshape(-1)
+
+
 def kernel(x, x2, params) -> float:
     """IQP fidelity |<phi(x)|phi(x2)>|^2 of the dense statevectors."""
     return float(abs(np.vdot(embed_dense(x, params), embed_dense(x2, params))) ** 2)

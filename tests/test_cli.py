@@ -6,14 +6,19 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quack import cli, experiments, kernels, metrics
 from quack.config import ExperimentConfig, load_config, snapshot
 from quack.errors import ConfigError, NumericalError
+from quack.qkernel import QUBIT_CEILING
+from quack.timeseries import GenSpec
 
 FAST_BO = "n0 = 4\nn_query = 2\nrestarts = 4\n"
 
@@ -31,6 +36,68 @@ def _write_config(tmp_path, text):
     path = tmp_path / "exp.cfg"
     path.write_text(text)
     return path
+
+
+_FINITE = st.floats(-1e6, 1e6, allow_nan=False)
+_POSITIVE = st.floats(1e-6, 1e6)
+
+
+@st.composite
+def valid_configs(draw):
+    """An ``ExperimentConfig`` that validates, with every key drawn."""
+    window = draw(st.integers(1, QUBIT_CEILING))
+    overlap = draw(st.integers(1, 8))
+    qubits = draw(st.lists(st.integers(overlap + 1, QUBIT_CEILING), min_size=1, max_size=4,
+                           unique=True))
+    mean_lo = draw(_FINITE)
+    noise_lo = draw(st.floats(0.0, 1e3))
+    gen = GenSpec(
+        n_steps=draw(st.integers(2 * window, 10_000)),
+        n_trend_changes=draw(st.integers(0, 50)),
+        slope=draw(_FINITE),
+        sine1_period=draw(_POSITIVE),
+        sine1_amplitude=draw(_FINITE),
+        sine2_period=draw(st.none() | _POSITIVE),
+        sine2_amplitude=draw(_FINITE),
+        noise_sd=draw(st.floats(0.0, 1e3)),
+        seed=draw(st.integers(0, 2**31 - 1)),
+    )
+    cfg = ExperimentConfig(
+        gen=gen,
+        window=window,
+        train_overlap=draw(st.integers(0, window - 1)),
+        train_frac=draw(st.floats(1e-6, 1.0, exclude_max=True)),
+        kernel=draw(st.sampled_from(kernels.KERNEL_KINDS)),
+        matern_nu=draw(st.sampled_from(kernels.MATERN_NUS)),
+        matern_all=draw(st.booleans()),
+        mean_lo=mean_lo,
+        mean_hi=mean_lo + draw(_POSITIVE),
+        noise_lo=noise_lo,
+        noise_hi=noise_lo + draw(_POSITIVE),
+        n0=draw(st.integers(1, 500)),
+        n_query=draw(st.integers(1, 500)),
+        restarts=draw(st.integers(1, 64)),
+        seed_bo=draw(st.integers(0, 2**31 - 1)),
+        out_dir=draw(st.text("abcxyz_-/.0189", min_size=1, max_size=12)),
+        landscape_alpha=draw(st.floats(0.0, 1.0)),
+        landscape_grid=draw(st.integers(2, 200)),
+        ablate_n_steps=draw(st.integers(2 * max(qubits), 10_000)),
+        ablate_train_overlap=overlap,
+        ablate_qubits=tuple(qubits),
+    )
+    cfg.validate()
+    return cfg
+
+
+def _as_text(value) -> str:
+    """A snapshot value as a config file or environment writes it."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if value is None:
+        return "none"
+    if isinstance(value, list):
+        return ",".join(str(v) for v in value)
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 class TestConfig:
@@ -59,6 +126,17 @@ class TestConfig:
         path = _write_config(tmp_path, "window = 6\n")
         cfg = load_config(path, env={"QUACK_WINDOW": "7", "QUACK_GEN_NOISE_SD": "0.1"})
         assert cfg.window == 7 and cfg.gen.noise_sd == 0.1
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(cfg=valid_configs())
+    def test_file_and_environment_round_trip(self, cfg):
+        texts = {key: _as_text(value) for key, value in snapshot(cfg).items()}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "exp.cfg"
+            path.write_text("".join(f"{key} = {text}\n" for key, text in texts.items()))
+            assert load_config(path, env={}) == cfg
+        env = {"QUACK_" + key.replace(".", "_").upper(): text for key, text in texts.items()}
+        assert load_config(env=env) == cfg
 
     def test_unknown_key_rejected(self, tmp_path):
         path = _write_config(tmp_path, "wndow = 6\n")

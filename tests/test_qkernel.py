@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import embed_dense
-from quack import qkernel
+from oracles import embed_dense, hadamard_transform
+from quack import blas, qkernel
 from quack.errors import InputError, ResourceError
 from quack.qkernel import IqpParams, diagonal_phases, embed_columns, gram_matrix
 
@@ -127,6 +127,13 @@ class TestBlockPath:
             (5, 3),
             # a block of one window
             (16, 2),
+            # the grouped transform: three groups of four qubits, in a block
+            # of eight windows and a block of one
+            (12, 9),
+            # groups of four and a remainder of one (and, at 14 above, two)
+            (13, 3),
+            # a remainder of three, in a block of 16 windows and a block of one
+            (11, 17),
         ],
     )
     def test_columns_bit_equal_to_single_column_calls(self, n, c):
@@ -136,6 +143,35 @@ class TestBlockPath:
         states = embed_columns(X, params)
         for j in range(c):
             assert np.array_equal(states[j], embed(X[:, j], params))
+
+    @pytest.mark.parametrize("n", range(8, 17))
+    def test_transform_matches_axis_by_axis_reference(self, n):
+        # both sides of _GROUPED_FWHT_QUBITS; src is left unchanged
+        rng = np.random.default_rng(n)
+        rows = 3
+        src = rng.normal(size=(rows, 2**n)) + 1j * rng.normal(size=(rows, 2**n))
+        kept = src.copy()
+        out, scratch = np.empty_like(src), np.empty_like(src)
+        qkernel._fwht(src, out, scratch)
+        assert np.array_equal(src, kept)
+        for row in range(rows):
+            expected = hadamard_transform(src[row])
+            assert np.abs(out[row] - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_states_independent_of_blas_threads(self):
+        if None in blas.threads().values():
+            pytest.skip("the OpenBLAS thread setters are not available")
+        rng = np.random.default_rng(24)
+        try:
+            for n in (11, 12, 13, 16):
+                X = rng.normal(size=(n, 3))
+                params = IqpParams(0.63, n)
+                blas.set_threads(1)
+                one = embed_columns(X, params)
+                assert blas.set_threads(2) == {"numpy": 2, "scipy": 2}
+                assert np.array_equal(embed_columns(X, params), one), n
+        finally:
+            blas.set_threads(1)
 
     def test_zero_columns(self):
         assert embed_columns(np.zeros((3, 0)), IqpParams(0.5, 3)).shape == (0, 8)
@@ -171,6 +207,22 @@ class TestBlockPath:
             finally:
                 tracemalloc.stop()
             assert peak <= bound * states * state_bytes, call.__name__
+
+    def test_gram_allocates_no_second_matrix(self):
+        # Besides the states, only the zherk product's complex c x c buffer,
+        # which holds the result; a separate real |.|^2 array would add half
+        # again.
+        c = 355
+        X = np.random.default_rng(25).normal(size=(5, c))
+        params = IqpParams(0.5, 5)
+        tracemalloc.start()
+        try:
+            gram_matrix(X, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        states = c * 2**5 * np.dtype(complex).itemsize
+        assert peak <= states + 1.1 * c * c * np.dtype(complex).itemsize
 
     def test_rejects_bad_designs(self):
         params = IqpParams(0.5, 3)
