@@ -95,10 +95,10 @@ class ExperimentConfig:
                     f"ablate.qubits entry {w} must be in [1, {QUBIT_CEILING}] "
                     "(the qubit ceiling)"
                 )
-            if w <= self.ablate_train_overlap:
+            if not 0 <= self.ablate_train_overlap < w:
                 raise ConfigError(
-                    f"ablate.qubits entry {w} must exceed "
-                    f"ablate.train_overlap={self.ablate_train_overlap}"
+                    f"ablate.train_overlap={self.ablate_train_overlap} must satisfy "
+                    f"0 <= overlap < ablate.qubits entry {w}"
                 )
             if self.ablate_n_steps < 2 * w:
                 raise ConfigError(

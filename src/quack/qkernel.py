@@ -24,15 +24,12 @@ product of one- and two-qubit factors (:func:`_phase_factors`), so it
 takes about ``16 (n - 3) + n^2 / 2`` complex exponentials per window
 instead of ``2^n``, and uses an unnormalized fast Walsh-Hadamard
 transform (:func:`_fwht`), deferring the combined ``2^-n`` normalization
-to a single exact scaling of the phase factors.  Below
-``_GROUPED_FWHT_QUBITS`` qubits the transform is radix-2 butterflies;
-from there on it applies the +-1 Hadamard matrices of groups of up to
-four qubits as BLAS products, one row at a time, which ran 1.4 to 2.3
-times as fast per block at 11 to 16 qubits (one OpenBLAS thread, 2-CPU
-x86-64 host).  It embeds the c columns of a (w, c) design into one
-preallocated (c, 2^n) array and works on blocks of whole rows of at most
-``_BLOCK_AMPLITUDES`` amplitudes: a thousand windows at 5 qubits, one at
-16, so each transform stays in cache.  One phase block and one scratch
+to a single exact scaling of the phase factors.  The transform applies
+the +-1 Hadamard matrices of groups of up to four qubits to a whole block
+as stacked BLAS products.  It embeds the c columns of a (w, c) design into
+one preallocated (c, 2^n) array and works on blocks of whole rows of at
+most ``_BLOCK_AMPLITUDES`` amplitudes: a thousand windows at 5 qubits, one
+at 16, so each transform stays in cache.  One phase block and one scratch
 block serve every block of a call.  :func:`cross_gram` embeds its query
 columns in chunks, so only one chunk of query states is live at a time.
 Windows longer than ``QUBIT_CEILING`` are refused before anything is
@@ -44,11 +41,11 @@ What is exact and what is not:
   complex multiply runs along the amplitude axis in runs of at least 16,
   so a state is bit-for-bit the same whether its window is embedded alone
   or in a block of any size;
-* the grouped transform's products of +-1 are exact, and each of its
-  sums of at most 16 terms is rounded in the BLAS's order; its products
-  have shapes that depend only on the qubit count, so a state does not
-  depend on its block, nor (tested) on the BLAS thread count, but its
-  last bits may differ from the butterflies' and between BLAS builds;
+* the transform's products of +-1 are exact, and each of its sums of at
+  most 16 terms is rounded in the BLAS's order; its products have shapes
+  that depend only on the qubit count, so a state does not depend on its
+  block, nor (tested) on the BLAS thread count, but its last bits may
+  differ between BLAS builds;
 * the phase factors are products of rounded exponentials, so they match
   ``exp(1j * diagonal_phases(x, alpha))`` to about 1e-13, not bit for bit;
 * the overlaps are BLAS products (``zherk`` for a Gram matrix, a matrix
@@ -75,13 +72,9 @@ from .errors import InputError, ResourceError
 # Most qubits a window may have: a state of 2^24 complex amplitudes is 256 MB.
 QUBIT_CEILING = 24
 
-# Amplitudes per butterfly block (512 KiB of complex128): whole windows are
+# Amplitudes per embedding block (512 KiB of complex128): whole windows are
 # grouped up to this size, and a wider window is a block on its own.
 _BLOCK_AMPLITUDES = 2**15
-
-# Qubits from which _fwht applies Hadamard matrices of up to four qubits as
-# BLAS products instead of radix-2 butterflies.
-_GROUPED_FWHT_QUBITS = 11
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -90,7 +83,7 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 # The +-1 Hadamard matrices H_1, H_2, ..., H_16 (index g is 2^g x 2^g), and
-# each as kron(H, I_2), for the float view of a row.
+# each as kron(H, I_2), for the float view of a block.
 _HADAMARD = tuple(_read_only(hadamard(2**g, dtype=float)) for g in range(5))
 _HADAMARD_PAIRS = tuple(_read_only(np.kron(h, np.eye(2))) for h in _HADAMARD)
 
@@ -193,57 +186,38 @@ def diagonal_phases(x, alpha: float) -> np.ndarray:
 def _fwht(src: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
     """Unnormalized fast Walsh-Hadamard transform of each row of ``src``.
 
-    Below ``_GROUPED_FWHT_QUBITS`` qubits: radix-2 butterflies over bit 0,
-    1, ..., n-1 of the amplitude index, in constant geometry.  A stage adds
-    and subtracts adjacent pairs and writes the sums to the first half of
-    the row and the differences to the second half.  That rotates the index
-    bits by one, so the next stage's pairs are again adjacent and after n
-    stages every amplitude is back in place.  Each stage reads long strided
-    runs and writes contiguous ones.
+    The index bits are split into groups of four from bit 0 up, the last
+    group taking the remainder, and each group's +-1 Hadamard matrix ``H``
+    (2^g x 2^g) is applied to the float view of the whole block by one
+    stacked BLAS product.  The float view doubles the lowest axis, so the
+    lowest group is ``(rows, 2^(n-g), 2^(g+1)) @ kron(H, I_2)``, in which
+    ``I_2`` keeps the real and imaginary parts apart, and a group with
+    ``b`` bits below it is ``H @ (rows, 2^(n-b-g), 2^g, 2^(b+1))``.  numpy
+    runs such a product as one matrix product per row and stacked matrix,
+    each of a shape that depends only on n, so a row's transform does not
+    depend on its block, nor (tested) on the BLAS thread count.  The
+    products of +-1 are exact and each output is a sum of at most 16
+    terms, rounded in the BLAS's order.
 
-    From ``_GROUPED_FWHT_QUBITS`` qubits on: the index bits are split into
-    groups of four from bit 0 up, the last group taking the remainder, and
-    each group's +-1 Hadamard matrix ``H`` (2^g x 2^g) is applied to the
-    float view of one row at a time by one BLAS product.  The float view
-    doubles the lowest axis, so the lowest group is the product
-    ``(2^(n-g), 2^(g+1)) @ kron(H, I_2)``, in which ``I_2`` keeps the real
-    and imaginary parts apart, and a group with ``b`` bits below it is the
-    stacked product ``H @ (2^(n-b-g), 2^g, 2^(b+1))``.  The products of
-    +-1 are exact and each output is a sum of at most 16 terms, rounded in
-    the BLAS's order.  Every product's shape depends only on n, so a row's
-    transform does not depend on its block, nor (tested) on the BLAS
-    thread count.
-
-    Either way the steps alternate between ``out`` and ``scratch`` (both
-    shaped like ``src``) so the last step writes ``out``; ``src`` is left
-    unchanged.
+    The products alternate between ``out`` and ``scratch`` (both shaped
+    like ``src``) so the last one writes ``out``; ``src`` is left unchanged.
     """
-    size = src.shape[1]
+    rows, size = src.shape
     n = size.bit_length() - 1
-    if n >= _GROUPED_FWHT_QUBITS:
-        groups = [4] * (n // 4) + [n % 4] * (n % 4 > 0)
-        targets = (out, scratch) if len(groups) % 2 == 1 else (scratch, out)
-        for row in range(src.shape[0]):
-            a = src[row].view(float)
-            low = 0
-            for step, g in enumerate(groups):
-                b = targets[step % 2][row].view(float)
-                if low == 0:
-                    shape = (-1, 2 ** (g + 1))
-                    np.matmul(a.reshape(shape), _HADAMARD_PAIRS[g], out=b.reshape(shape))
-                else:
-                    shape = (2 ** (n - low - g), 2**g, 2 ** (low + 1))
-                    np.matmul(_HADAMARD[g], a.reshape(shape), out=b.reshape(shape))
-                a = b
-                low += g
-        return
-    half = size // 2
-    targets = (out, scratch) if n % 2 == 1 else (scratch, out)
-    for stage in range(n):
-        dst = targets[stage % 2]
-        np.add(src[:, 0::2], src[:, 1::2], out=dst[:, :half])
-        np.subtract(src[:, 0::2], src[:, 1::2], out=dst[:, half:])
-        src = dst
+    groups = [4] * (n // 4) + [n % 4] * (n % 4 > 0)
+    targets = (out, scratch) if len(groups) % 2 == 1 else (scratch, out)
+    a = src.view(float)
+    low = 0
+    for step, g in enumerate(groups):
+        b = targets[step % 2].view(float)
+        if low == 0:
+            shape = (rows, -1, 2 ** (g + 1))
+            np.matmul(a.reshape(shape), _HADAMARD_PAIRS[g], out=b.reshape(shape))
+        else:
+            shape = (rows, 2 ** (n - low - g), 2**g, 2 ** (low + 1))
+            np.matmul(_HADAMARD[g], a.reshape(shape), out=b.reshape(shape))
+        a = b
+        low += g
 
 
 def _phase_factors(
@@ -294,7 +268,7 @@ def _phase_factors(
 def embed_columns(X, params: IqpParams) -> np.ndarray:
     """Statevectors of every column of a (w, c) design, fast block path.
 
-    Applies phase multiplication and Walsh-Hadamard butterflies without
+    Applies phase multiplication and the Walsh-Hadamard transform without
     intermediate normalization; the combined factor ``2^-n`` from both
     Hadamard layers scales the phase factors once, before the last
     multiply.  Being a pure power of two, that scaling is exact, so

@@ -134,6 +134,10 @@ class TestBlockPath:
             (13, 3),
             # a remainder of three, in a block of 16 windows and a block of one
             (11, 17),
+            # two groups of four, in a block of 128 windows and a block of two
+            (8, 130),
+            # a remainder of two, in a block of 32 windows and a block of three
+            (10, 35),
         ],
     )
     def test_columns_bit_equal_to_single_column_calls(self, n, c):
@@ -144,9 +148,10 @@ class TestBlockPath:
         for j in range(c):
             assert np.array_equal(states[j], embed(X[:, j], params))
 
-    @pytest.mark.parametrize("n", range(8, 17))
+    @pytest.mark.parametrize("n", range(1, 17))
     def test_transform_matches_axis_by_axis_reference(self, n):
-        # both sides of _GROUPED_FWHT_QUBITS; src is left unchanged
+        # every group split, from a lone remainder up to four groups of
+        # four; src is left unchanged
         rng = np.random.default_rng(n)
         rows = 3
         src = rng.normal(size=(rows, 2**n)) + 1j * rng.normal(size=(rows, 2**n))
@@ -163,7 +168,7 @@ class TestBlockPath:
             pytest.skip("the OpenBLAS thread setters are not available")
         rng = np.random.default_rng(24)
         try:
-            for n in (11, 12, 13, 16):
+            for n in (1, 5, 8, 10, 11, 12, 13, 16):
                 X = rng.normal(size=(n, 3))
                 params = IqpParams(0.63, n)
                 blas.set_threads(1)
@@ -191,22 +196,44 @@ class TestBlockPath:
         # block; the rest (array headers, 16-entry tables) is well under
         # 1 % of a 16-qubit state.  The Gram and cross kernel add only
         # one-window blocks to the training states: no conjugated copies.
+        # A full block of 1024 windows at 5 qubits peaks at 4.27 x the
+        # states, while the phase factors are built; a second phase or
+        # scratch block would add 1.0 x.
         rng = np.random.default_rng(23)
         params = IqpParams(0.5, 16)
         X, X2 = rng.normal(size=(16, 29)), rng.normal(size=(16, 20))
-        state_bytes = 2**16 * np.dtype(complex).itemsize
+        small = rng.normal(size=(5, qkernel._BLOCK_AMPLITUDES // 2**5))
         for call, args, states, bound in (
             (embed_columns, (X[:, :1], params), 1, 3.01),
             (gram_matrix, (X, params), 29, 1.25),
             (qkernel.cross_gram, (X, X2, params), 29, 2.0),
+            (embed_columns, (small, IqpParams(0.5, 5)), small.shape[1], 4.4),
         ):
+            state_bytes = 2 ** args[0].shape[0] * np.dtype(complex).itemsize
             tracemalloc.start()
             try:
                 call(*args)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= bound * states * state_bytes, call.__name__
+            assert peak <= bound * states * state_bytes, (call.__name__, states)
+
+    @pytest.mark.parametrize("n", [1, 5, 10, 16])
+    def test_transform_allocates_no_block(self, n):
+        # The stacked products write into out and scratch.  A product that
+        # copied an operand would allocate a block, which the embedding's
+        # peak above would not show: at 5 qubits the transform's 3 blocks
+        # plus one stay below the phase factors' 4.27.
+        rows = max(1, qkernel._BLOCK_AMPLITUDES // 2**n)
+        src = np.ones((rows, 2**n), dtype=complex)
+        out, scratch = np.empty_like(src), np.empty_like(src)
+        tracemalloc.start()
+        try:
+            qkernel._fwht(src, out, scratch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.01 * src.nbytes
 
     def test_gram_allocates_no_second_matrix(self):
         # Besides the states, only the zherk product's complex c x c buffer,

@@ -14,8 +14,9 @@ fall on both sides.  The bench's last line of output is its JSON result.
 
 For each metric the summary prints each tree's median and quartiles and
 how many pairs HEAD won, the direction taken from HEAD's BENCHMARK.json
-(metrics it does not list get no win count).  ``--json`` also writes
-every run's metrics.  Standard library only.
+(metrics it does not list get no win count).  Each end-to-end metric also
+gets a verdict against its ``bound`` there; see :func:`verdict`.
+``--json`` also writes every run's metrics.  Standard library only.
 """
 
 from __future__ import annotations
@@ -44,10 +45,12 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -
     return values
 
 
-def directions(tree: Path) -> dict[str, str]:
-    """Metric name -> "lower" or "higher", from the tree's BENCHMARK.json."""
+def metric_spec(tree: Path) -> tuple[dict[str, str], dict[str, float]]:
+    """From the tree's BENCHMARK.json: metric name -> "lower" or "higher",
+    and end-to-end metric name -> bound."""
     spec = json.loads((tree / "BENCHMARK.json").read_text())
-    return {m["name"]: m["better"] for m in spec["end_to_end"] + spec.get("per_layer", [])}
+    better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec.get("per_layer", [])}
+    return better, {m["name"]: m["bound"] for m in spec["end_to_end"]}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -58,12 +61,45 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> list[dict]:
-    """Per metric present in every run: both trees' quartiles and HEAD's pair wins.
+def count_wins(base: list[float], head: list[float], better: str) -> int:
+    """Pairs in which HEAD's value is strictly better than the base's."""
+    sign = 1.0 if better == "higher" else -1.0
+    return sum(sign * (h - b) > 0 for b, h in zip(base, head))
 
-    ``pairs`` holds (base metrics, head metrics) per pair.  A pair is a win
-    when HEAD's value is strictly better; ``wins`` is None for a metric
-    without a direction.
+
+def verdict(base: list[float], head: list[float], better: str, bound: float) -> str:
+    """The reading of one end-to-end metric over paired runs; the first that holds.
+
+    - ``gain``: over at least ten pairs, HEAD wins at least 9 in 10 and its
+      median beats the base's by more than the base's interquartile range;
+    - ``worse``: HEAD's median is worse than the base's by more than
+      ``bound`` times the base median;
+    - ``unresolved``: the base's interquartile range exceeds ``bound`` times
+      its median, unless every HEAD run beats every base run;
+    - ``no regression`` otherwise.
+    """
+    sign = 1.0 if better == "higher" else -1.0
+    q1, median, q3 = quartiles(base)
+    ahead = sign * (quartiles(head)[1] - median)
+    wins = count_wins(base, head, better)
+    if len(base) >= 10 and 10 * wins >= 9 * len(base) and ahead > q3 - q1:
+        return "gain"
+    if -ahead > bound * abs(median):
+        return "worse"
+    dominates = min(sign * h for h in head) > max(sign * b for b in base)
+    if q3 - q1 > bound * abs(median) and not dominates:
+        return "unresolved"
+    return "no regression"
+
+
+def summarize(
+    pairs: list[tuple[dict, dict]], better: dict[str, str], bounds: dict[str, float]
+) -> list[dict]:
+    """Per metric present in every run: both trees' quartiles, HEAD's pair wins
+    and, for a metric with a bound, the :func:`verdict`.
+
+    ``pairs`` holds (base metrics, head metrics) per pair.  ``wins`` is None
+    for a metric without a direction, and ``verdict`` for one without a bound.
     """
     names = [name for name in pairs[0][0] if all(name in b and name in h for b, h in pairs)]
     rows = []
@@ -71,26 +107,29 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> list[di
         base = [b[name] for b, _ in pairs]
         head = [h[name] for _, h in pairs]
         direction = better.get(name)
-        if direction is None:
-            wins = None
-        else:
-            sign = 1.0 if direction == "higher" else -1.0
-            wins = sum(sign * (h - b) > 0 for b, h in zip(base, head))
+        wins = None if direction is None else count_wins(base, head, direction)
+        reading = None
+        if direction is not None and name in bounds:
+            reading = verdict(base, head, direction, bounds[name])
         rows.append({
             "name": name, "base": quartiles(base), "head": quartiles(head),
-            "wins": wins, "pairs": len(pairs),
+            "wins": wins, "pairs": len(pairs), "verdict": reading,
         })
     return rows
 
 
 def format_summary(rows: list[dict]) -> str:
-    lines = [f"{'metric':<34} {'base median [q1, q3]':>32} {'head median [q1, q3]':>32}  head wins"]
+    lines = [
+        f"{'metric':<34} {'base median [q1, q3]':>32} {'head median [q1, q3]':>32}"
+        "  head wins  verdict"
+    ]
     for row in rows:
         cells = [
             f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]" for q in (row["base"], row["head"])
         ]
         wins = "-" if row["wins"] is None else f"{row['wins']}/{row['pairs']}"
-        lines.append(f"{row['name']:<34} {cells[0]:>32} {cells[1]:>32}  {wins}")
+        line = f"{row['name']:<34} {cells[0]:>32} {cells[1]:>32}  {wins:>9}"
+        lines.append(f"{line}  {row['verdict']}" if row["verdict"] else line)
     return "\n".join(lines)
 
 
@@ -121,7 +160,7 @@ def main(argv=None) -> int:
     if args.json is not None:
         args.json.write_text(json.dumps({"pairs": pairs}, indent=1) + "\n")
     print(f"workload {args.workload}, seed {args.seed}, {len(pairs)} pairs")
-    print(format_summary(summarize(pairs, directions(args.head))))
+    print(format_summary(summarize(pairs, *metric_spec(args.head))))
     return 0
 
 
