@@ -3,10 +3,8 @@
 The tuner maximizes a black-box objective over a box: a Sobol batch of
 ``n0`` points seeds the search, then ``N`` query points are chosen one at
 a time by maximizing log expected improvement under a Matern-5/2 GP
-surrogate.  The objective itself is never differentiated; only the
-acquisition is, analytically, through the closed-form Matern-5/2
-posterior mean and variance at one point, inside a bound-constrained
-quasi-Newton (L-BFGS-B) inner loop.
+surrogate.  Neither the objective nor the acquisition is differentiated:
+the acquisition is maximized over batches of points scored at once.
 
 Surrogate inputs are normalized to the unit cube and values standardized
 to zero mean / unit variance; its own lengthscale and noise are picked by
@@ -20,9 +18,9 @@ The winner's L^-1 and solve are the surrogate, and the acquisition reads
 its posterior from them directly.
 
 Each proposal screens 1023 scrambled Sobol points with one vectorized
-log-EI call and polishes the best ``restarts`` of them with L-BFGS-B, as
-BoTorch's ``optimize_acqf`` screens raw samples (Balandat et al., NeurIPS
-2020).
+log-EI call, as BoTorch's ``optimize_acqf`` screens raw samples (Balandat
+et al., NeurIPS 2020), then zooms in on the best ``restarts`` of them:
+the same points, shrunk into a small box around each, are scored again.
 
 Sobol points (d <= 4) come from the Joe & Kuo (2008) direction numbers
 and Matousek's (1998) linear matrix scramble with a digital shift; they
@@ -30,7 +28,7 @@ equal scipy's ``qmc.Sobol`` points bit for bit without importing
 ``scipy.stats``, which would double every process's start-up time.
 
 The tune loop is inherently sequential; each proposal depends on all
-prior results.  Sobol-phase evaluations and polishes are independent and
+prior results.  Sobol-phase evaluations and zooms are independent and
 reduce by ordered argmax, so results do not depend on evaluation order.
 """
 
@@ -41,7 +39,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.optimize import minimize
 from scipy.special import erfcx, ndtr
 
 from . import gpr, kernels
@@ -68,7 +65,7 @@ _SURROGATE_NOISE_BOUNDS = (1e-6, 1e-1)
 # fraction of its exact lower bound, noise_var + jitter.
 _PIVOT_FLOOR = 0.5
 
-# Scrambled Sobol points scored per proposal before the L-BFGS-B polish.
+# Scrambled Sobol points scored per proposal by the screen and by each zoom.
 _SCREEN_SIZE = 1023
 
 _SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
@@ -122,15 +119,10 @@ class Trial:
 class TunerCounts:
     """Work the tuner did beside the objective; deterministic for a seed.
 
-    ``lbfgs_runs`` counts L-BFGS-B polishes, ``lbfgs_failed`` those that
-    raised or ended non-finite, ``fallbacks`` the proposals whose every
-    polish failed, and ``refactors`` the surrogate grid points refactored
-    from scratch at a higher jitter rung.
+    ``refactors`` counts the surrogate grid points refactored from
+    scratch at a higher jitter rung.
     """
 
-    lbfgs_runs: int = 0
-    lbfgs_failed: int = 0
-    fallbacks: int = 0
     refactors: int = 0
 
 
@@ -227,44 +219,34 @@ def sobol_init(space: SearchSpace, n0: int, seed: int) -> np.ndarray:
     return space.from_unit(unit)
 
 
-def _log_h(delta) -> tuple[np.ndarray, np.ndarray]:
-    """log h and Phi / h at each delta, where h = delta Phi(delta) + phi(delta).
+def _log_h(delta: np.ndarray) -> np.ndarray:
+    """log h at each entry of the 1-d array ``delta``, where
+    h = delta Phi(delta) + phi(delta), so log EI = log sd + log h((mean - f*) / sd).
 
-    log EI = log sd + log h((mean - f*) / sd), and Phi / h is the factor
-    the acquisition gradient needs, since h' = Phi.  Above -1 both come
-    directly.  Below, phi(delta) is factored out: h = phi(delta) g with
-    g = 1 - |delta| M and M = Phi(delta) / phi(delta) the Mills ratio, so
-    Phi / h = M / g, with M from erfcx.  Below the deep-tail switch, where
-    the subtraction in g would lose precision, the asymptotic Mills-ratio
-    series gives g = t p(t) with t = 1 / delta^2 and M = (1 - g) / |delta|,
-    so M / g = (1 - g) |delta| / p.  Works elementwise, computing each
-    branch on its own elements only; both results have the shape of
-    ``delta``.
+    Above -1 it comes directly.  Below, phi(delta) is factored out:
+    h = phi(delta) g with g = 1 - |delta| M and M = Phi(delta) / phi(delta)
+    the Mills ratio, from erfcx.  Below the deep-tail switch, where the
+    subtraction in g would lose precision, the asymptotic Mills-ratio
+    series gives g = t p(t) with t = 1 / delta^2.  Each branch is computed
+    on its own elements only.
     """
-    shape = np.shape(delta)
-    delta = np.asarray(delta, dtype=float).reshape(-1)  # 1-d: cheaper to index than 0-d
     log_h = np.empty(delta.shape)
-    ratio = np.empty(delta.shape)
     direct = delta > -1.0
     if direct.any():
         d = delta[direct]
-        cdf = ndtr(d)
-        h = d * cdf + _INV_SQRT_2PI * np.exp(-0.5 * d * d)
-        log_h[direct], ratio[direct] = np.log(h), cdf / h
+        log_h[direct] = np.log(d * ndtr(d) + _INV_SQRT_2PI * np.exp(-0.5 * d * d))
     deep = delta < _DEEP_TAIL
     tail = ~(direct | deep)
     if tail.any():
         a = -delta[tail]
-        mills = _SQRT_HALF_PI * erfcx(a / math.sqrt(2.0))
-        g = 1.0 - a * mills
-        log_h[tail], ratio[tail] = -0.5 * a * a - 0.5 * _LOG_2PI + np.log(g), mills / g
+        g = 1.0 - a * (_SQRT_HALF_PI * erfcx(a / math.sqrt(2.0)))
+        log_h[tail] = -0.5 * a * a - 0.5 * _LOG_2PI + np.log(g)
     if deep.any():
         a = -delta[deep]
         t = 1.0 / (a * a)
         p = 1.0 - t * (3.0 - t * (15.0 - t * (105.0 - 945.0 * t)))
-        log_g = np.log(p) - 2.0 * np.log(a)
-        log_h[deep], ratio[deep] = -0.5 * a * a - 0.5 * _LOG_2PI + log_g, (1.0 - t * p) * a / p
-    return log_h.reshape(shape), ratio.reshape(shape)
+        log_h[deep] = -0.5 * a * a - 0.5 * _LOG_2PI + (np.log(p) - 2.0 * np.log(a))
+    return log_h
 
 
 def log_ei(mean, sd, incumbent: float):
@@ -284,7 +266,7 @@ def log_ei(mean, sd, incumbent: float):
         raise InputError(f"sd must be >= 0, got {sd.min()}")
     out = np.full(sd.shape, LOG_EI_FLOOR)
     spread = sd > 0.0
-    out[spread] = np.log(sd[spread]) + _log_h(improvement[spread] / sd[spread])[0]
+    out[spread] = np.log(sd[spread]) + _log_h(improvement[spread] / sd[spread])
     gain = ~spread & (improvement > 0.0)
     out[gain] = np.log(improvement[gain])
     return float(out) if out.ndim == 0 else out
@@ -447,103 +429,37 @@ def fit_surrogate(trials: list[Trial], space: SearchSpace, factors: SurrogateFac
     )
 
 
-def _acquisition_with_grad(surrogate: Surrogate, incumbent_std: float):
-    """Negated log-EI on [0,1]^d and its exact gradient.
-
-    It reads the training units x_i, the cached solve
-    alpha = (K + sn2 I)^-1 z and L^-1 from the surrogate.
-    At a point u, with s_i = sqrt(5) |u - x_i| / l, the Matern-5/2
-    posterior and its gradient are
-
-        k_i = (1 + s_i + s_i^2 / 3) exp(-s_i)
-        grad k_i = -5 / (3 l^2) (1 + s_i) exp(-s_i) (u - x_i)
-        mean = k . alpha,      grad mean = sum_i alpha_i grad k_i
-        var = 1 - |L^-1 k|^2,  grad sd = -sum_i (K^-1 k)_i grad k_i / sd
-
-    and with delta = (mean - f*) / sd and h = delta Phi(delta) + phi(delta),
-
-        grad log EI = grad sd / sd + (Phi / h)(delta) (grad mean - delta grad sd) / sd.
-
-    log h and Phi / h come from :func:`_log_h`, as in :func:`log_ei`.  A
-    clamped variance (sd = 0) leaves log(mean - f*), with gradient
-    grad mean / (mean - f*), or the floor with gradient 0.
-    """
-    train = surrogate.units
-    alpha = surrogate.solve
-    chol_inv = surrogate.chol_inv
-    s_scale = 5.0 / surrogate.lengthscale**2
-    grad_scale = -s_scale / 3.0
-
-    def fun(u: np.ndarray) -> tuple[float, np.ndarray]:
-        diff = u - train
-        s = np.sqrt(np.einsum("ij,ij->i", diff, diff) * s_scale)
-        e = np.exp(-s)
-        k = (1.0 + s + s * s / 3.0) * e
-        slope = (1.0 + s) * e  # grad k_i = grad_scale * slope_i * (u - x_i)
-        improvement = float(k @ alpha) - incumbent_std
-        half = chol_inv @ k
-        var = 1.0 - float(half @ half)
-        if var <= 0.0:
-            if improvement <= 0.0:
-                return -LOG_EI_FLOOR, np.zeros(u.shape[0])
-            grad = (grad_scale / improvement) * ((slope * alpha) @ diff)
-            return -math.log(improvement), -grad
-        sd = math.sqrt(var)
-        delta = improvement / sd
-        log_h, ratio = (float(v) for v in _log_h(delta))
-        # grad log EI = grad_scale / sd * sum_i slope_i weight_i (u - x_i)
-        weight = ratio * alpha - ((1.0 - ratio * delta) / sd) * (half @ chol_inv)
-        grad = (grad_scale / sd) * ((slope * weight) @ diff)
-        return -(math.log(sd) + log_h), -grad
-
-    return fun
-
-
 def propose_next(
     surrogate: Surrogate,
     space: SearchSpace,
     incumbent: float,
     restarts: int,
     seed: int,
-    counts: TunerCounts,
 ) -> np.ndarray:
-    """Maximize log expected improvement over the box.
+    """Maximize log expected improvement over the box, gradient-free.
 
     Scores ``_SCREEN_SIZE`` scrambled Sobol points with one vectorized
-    log-EI call, then polishes the best ``restarts`` of them (ties to the
-    earlier point) with L-BFGS-B.  The best polished endpoint wins, ties
-    to the first, so a fixed seed yields a fixed proposal.  If every
-    polish fails outright, the best screened point is returned instead.
-    ``counts`` tallies the polishes, the failed ones and the all-failed
-    fallbacks.
+    log-EI call.  Then, for each of the best ``restarts`` of them in rank
+    order (ties to the earlier point), maps the same points into the box
+    of half-width r = ``_SCREEN_SIZE`` ** (-1 / d) around it, clipped to
+    the unit cube, and scores them with one more call.  r is about the
+    screen's spacing, so a zoom resolves the cell around its centre.  The
+    best point seen wins, ties to the first in screen-then-zoom order, so
+    a fixed seed yields a fixed proposal.
     """
     incumbent_std = surrogate.standardize_value(incumbent)
     screen = _sobol_unit(space.dim, _SCREEN_SIZE, seed=seed, scramble=True)
     screened = log_ei(*surrogate.posterior_unit(screen), incumbent_std)
-    starts = screen[np.argsort(-screened, kind="stable")[:restarts]]
-    objective = _acquisition_with_grad(surrogate, incumbent_std)
-    bounds = [(0.0, 1.0)] * space.dim
-    best_val = math.inf
-    best_u = None
-    for start in starts:
-        counts.lbfgs_runs += 1
-        try:
-            result = minimize(
-                objective, start, jac=True, method="L-BFGS-B",
-                bounds=bounds, options={"maxiter": 100},
-            )
-        except (ValueError, FloatingPointError):
-            counts.lbfgs_failed += 1
-            continue
-        if not np.all(np.isfinite(result.x)) or not np.isfinite(result.fun):
-            counts.lbfgs_failed += 1
-            continue
-        if result.fun < best_val:
-            best_val = float(result.fun)
-            best_u = np.clip(result.x, 0.0, 1.0)
-    if best_u is None:
-        counts.fallbacks += 1
-        best_u = starts[0]
+    best = int(np.argmax(screened))
+    best_u, best_value = screen[best], screened[best]
+    radius = _SCREEN_SIZE ** (-1.0 / space.dim)
+    for centre in screen[np.argsort(-screened, kind="stable")[:restarts]]:
+        lower, upper = np.maximum(centre - radius, 0.0), np.minimum(centre + radius, 1.0)
+        zoom = lower + screen * (upper - lower)
+        zoomed = log_ei(*surrogate.posterior_unit(zoom), incumbent_std)
+        best = int(np.argmax(zoomed))
+        if zoomed[best] > best_value:
+            best_u, best_value = zoom[best], zoomed[best]
     return space.from_unit(best_u)
 
 
@@ -564,8 +480,8 @@ def tune(
 
     The objective is called exactly n0 + n_query times.  The surrogate
     grid's inverse factors are kept across steps, so each step appends
-    one row per grid point.  ``restarts`` is the number of L-BFGS-B
-    polishes per proposal.  ``on_trial(phase, theta, value)``, when
+    one row per grid point.  ``restarts`` is the number of zooms per
+    proposal (see :func:`propose_next`).  ``on_trial(phase, theta, value)``, when
     given, is called after each evaluation, so a caller can stream the
     trials.  An exception inside the objective aborts the run; the
     trials completed before it have already been passed to ``on_trial``.
@@ -589,6 +505,6 @@ def tune(
         surrogate = fit_surrogate(trace.trials, space, factors)
         evaluate(propose_next(
             surrogate, space, trace.incumbent_value,
-            restarts=restarts, seed=_restart_seed(seed, step), counts=trace.counts,
+            restarts=restarts, seed=_restart_seed(seed, step),
         ), "query")
     return trace

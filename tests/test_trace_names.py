@@ -27,9 +27,10 @@ def _load_spans():
 
 
 # Names bench/spans.py still wraps that quack no longer has, to mend at
-# the next change to the benchmark; see the CHANGES.md line "FOUND:
-# bench/spans.py still wraps `qkernel.embed` and `kernels.self_diag`".
-KNOWN_MISSING = {("qkernel", "embed"), ("kernels", "self_diag")}
+# the next change to the benchmark; see the CHANGES.md lines "FOUND:
+# bench/spans.py still wraps `qkernel.embed` and `kernels.self_diag`" and
+# "FOUND: bench/spans.py's `bayesopt.lbfgs.*` metrics now read 0".
+KNOWN_MISSING = {("qkernel", "embed"), ("kernels", "self_diag"), ("bayesopt", "minimize")}
 
 
 def _modules():
@@ -63,8 +64,9 @@ def test_tracer_counts_posterior_points_per_proposal():
         tracer.uninstall()
     assert tracer.restored()
     assert tracer.spans["bayesopt.propose_next"][0] == 3
-    assert tracer.spans["bayesopt.posterior"][0] == 3
-    assert tracer.counts["bayesopt.posterior.points"] == 3 * 1023
+    # per proposal, the screen and restarts = 2 zooms
+    assert tracer.spans["bayesopt.posterior"][0] == 3 * (1 + 2)
+    assert tracer.counts["bayesopt.posterior.points"] == 3 * 1023 * (1 + 2)
 
 
 def test_tracer_sees_iqp_prediction():
