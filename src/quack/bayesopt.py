@@ -42,7 +42,7 @@ from scipy.linalg import solve_triangular
 from scipy.special import erfcx, ndtr
 
 from . import gpr, kernels
-from .errors import ConfigError, InputError
+from .errors import ConfigError, InputError, ResourceError
 
 # Finite stand-in for log(0) when expected improvement is exactly zero.
 LOG_EI_FLOOR = -1.0e300
@@ -341,8 +341,8 @@ class SurrogateFactors:
         grid = self.lengthscales.shape[0]
         self.rungs = np.zeros(grid, dtype=int)
         self.ridge = self.noises + gpr.JITTER_LADDER[0]  # noise_g + jitter_g
+        self.chol_inv = np.zeros((grid, capacity, capacity))  # the largest array: fail first
         self.units = np.empty((capacity, dim))
-        self.chol_inv = np.zeros((grid, capacity, capacity))
         self.size = 0
         self.counts = counts
 
@@ -487,11 +487,19 @@ def tune(
     trials completed before it have already been passed to ``on_trial``.
 
     Returns the trace with the incumbent (argmax) and the work counts.
+    Raises ``ResourceError`` when the budget's factor store, about
+    ``_SURROGATE_GRID_SIZE`` * (n0 + n_query)^2 floats, cannot be allocated.
     """
     if n_query < 0:
         raise InputError(f"n_query must be >= 0, got {n_query}")
     trace = TuneTrace()
-    factors = SurrogateFactors(space.dim, n0 + n_query - 1, trace.counts) if n_query else None
+    try:
+        factors = SurrogateFactors(space.dim, n0 + n_query - 1, trace.counts) if n_query else None
+    except (MemoryError, ValueError) as exc:  # numpy: MemoryError, or "array is too big"
+        raise ResourceError(
+            f"tuning budget n0={n0} + n_query={n_query} is too large: "
+            f"its surrogate factor store cannot be allocated ({exc})"
+        ) from exc
 
     def evaluate(theta: np.ndarray, phase: str) -> None:
         value = float(objective(theta))

@@ -30,10 +30,6 @@ class ExperimentConfig:
     kernel: str = "iqp"
     matern_nu: float = 2.5
     matern_all: bool = False
-    mean_lo: float = -1.0
-    mean_hi: float = 1.0
-    noise_lo: float = 0.0
-    noise_hi: float = 1.0
     n0: int = 25
     n_query: int = 25
     restarts: int = 2
@@ -69,10 +65,6 @@ class ExperimentConfig:
             )
         if self.window > QUBIT_CEILING:
             raise ConfigError(f"window={self.window} exceeds qubit ceiling {QUBIT_CEILING}")
-        if not self.mean_lo < self.mean_hi:
-            raise ConfigError("mean bounds must satisfy mean_lo < mean_hi")
-        if self.noise_lo < 0 or not self.noise_lo < self.noise_hi:
-            raise ConfigError("noise bounds must satisfy 0 <= noise_lo < noise_hi")
         if self.gen.sine1_period == 0 or self.gen.sine2_period == 0:
             raise ConfigError("gen.sine1_period and gen.sine2_period must be nonzero")
         if self.landscape_grid < 2:
@@ -147,10 +139,6 @@ _SCHEMA: dict[str, tuple[str, object]] = {
     "kernel": ("kernel", str),
     "matern_nu": ("matern_nu", _parse_float),
     "matern_all": ("matern_all", _parse_bool),
-    "bounds.mean_lo": ("mean_lo", _parse_float),
-    "bounds.mean_hi": ("mean_hi", _parse_float),
-    "bounds.noise_lo": ("noise_lo", _parse_float),
-    "bounds.noise_hi": ("noise_hi", _parse_float),
     "n0": ("n0", int),
     "n_query": ("n_query", int),
     "restarts": ("restarts", int),

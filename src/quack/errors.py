@@ -21,7 +21,7 @@ class ParameterError(QuackError, ValueError):
 
 
 class ResourceError(QuackError, RuntimeError):
-    """Request exceeds a configured resource limit (e.g. qubit ceiling)."""
+    """Request exceeds a resource limit: the qubit ceiling, or memory that cannot be allocated."""
 
 
 class ConfigError(QuackError, ValueError):

@@ -60,23 +60,24 @@ def build_series(cfg: ExperimentConfig, n_steps: int | None = None) -> timeserie
     return timeseries.standardize(timeseries.generate(gen))
 
 
+# The GP dimensions every kind tunes after its kernel's: noise variance, then constant mean.
+_NOISE_MEAN_DIMS = (("noise_var", 0.0, 1.0), ("mean_const", -1.0, 1.0))
+
+
 def search_space_for(cfg: ExperimentConfig) -> bayesopt.SearchSpace:
     """Tuning box of ``cfg.kernel``: kernel parameters, then noise, then mean.
 
     Kernel dimensions follow ``kernels.DEFAULT_BOUNDS``; Matern ``nu`` is
-    discrete and fixed per run, so it is not tuned.
+    discrete and fixed per run, so it is not tuned.  The noise and mean
+    intervals are the constant ``_NOISE_MEAN_DIMS``, the same for every kind.
     """
     kind = cfg.kernel
     if kind not in kernels.DEFAULT_BOUNDS:
         raise ConfigError(f"unknown kernel kind {kind!r}")
-    kernel_dims = [
+    kernel_dims = tuple(
         (name, lo, hi) for name, (lo, hi) in kernels.DEFAULT_BOUNDS[kind].items() if name != "nu"
-    ]
-    dims = kernel_dims + [
-        ("noise_var", cfg.noise_lo, cfg.noise_hi),
-        ("mean_const", cfg.mean_lo, cfg.mean_hi),
-    ]
-    return bayesopt.SearchSpace(dims=tuple(dims))
+    )
+    return bayesopt.SearchSpace(dims=kernel_dims + _NOISE_MEAN_DIMS)
 
 
 def hyperparams(cfg: ExperimentConfig, theta: dict[str, float]) -> gpr.GprHyperparams:

@@ -10,7 +10,8 @@ valid kernel either way.
 
 Hyperparameter boxes (``DEFAULT_BOUNDS``): lengthscales in [0.1, 30],
 rational quadratic weight in [0.1, 10], period in [5, 35], bandwidth in
-[0, 1].
+[0, 1].  The noise and mean intervals of the tuning box are not kernel
+parameters; they live in ``experiments._NOISE_MEAN_DIMS``.
 """
 
 from __future__ import annotations

@@ -3,14 +3,18 @@
 Each is written from the model's formulas, one pair of windows at a time,
 and shares no code with quack's vectorized paths: the IQP state comes from
 dense 2^n x 2^n matrices, the classical kernels from their scalar
-definitions, the expected improvement from its closed form.  They are
-slow and meant for small inputs only.
+definitions, the expected improvement from its closed form.  The GP
+posterior and marginal likelihood come from an explicit inverse of the
+regularized Gram matrix; only that training Gram is quack's
+``kernels.gram``, which the kernel oracles above check.  They are slow
+and meant for small inputs only.
 """
 
 import math
 
 import numpy as np
 
+from quack import gpr, kernels
 from quack.qkernel import IqpParams
 
 
@@ -113,6 +117,32 @@ def evaluate(model, x, x2) -> float:
     if model.kind == "periodic":
         return periodic(x, x2, p["p"], p["l_p"])
     raise ValueError(f"unknown kernel kind {model.kind!r}")
+
+
+def _regularized_gram(X, hp) -> np.ndarray:
+    """K + (noise_var + first jitter rung) I, as ``gpr.fit`` first factors it."""
+    c = X.shape[1]
+    return kernels.gram(hp.kernel, X) + (hp.noise_var + gpr.JITTER_LADDER[0]) * np.eye(c)
+
+
+def gpr_predict(X, y, hp, xq) -> tuple[float, float]:
+    """GP posterior mean and latent variance at one query window ``xq``,
+    by explicit inversion of the regularized Gram matrix."""
+    inv = np.linalg.inv(_regularized_gram(X, hp))
+    kvec = np.array([evaluate(hp.kernel, X[:, j], xq) for j in range(X.shape[1])])
+    mean = hp.mean_const + kvec @ inv @ (y - hp.mean_const)
+    var = evaluate(hp.kernel, xq, xq) - kvec @ inv @ kvec
+    return mean, var
+
+
+def gpr_mll(X, y, hp) -> float:
+    """log N(y; mean_const 1, K + (noise_var + jitter) I) by explicit inversion."""
+    big_k = _regularized_gram(X, hp)
+    resid = y - hp.mean_const
+    sign, logdet = np.linalg.slogdet(big_k)
+    assert sign > 0
+    c = y.shape[0]
+    return -0.5 * resid @ np.linalg.inv(big_k) @ resid - 0.5 * logdet - 0.5 * c * math.log(2 * math.pi)
 
 
 def expected_improvement(mean: float, sd: float, incumbent: float) -> float:

@@ -22,7 +22,7 @@ from quack.bayesopt import (
     tune,
 )
 from quack.config import load_config
-from quack.errors import ConfigError, InputError
+from quack.errors import ConfigError, InputError, ResourceError
 
 UNIT3 = SearchSpace(dims=(("a", 0.0, 1.0), ("b", 0.0, 1.0), ("c", 0.0, 1.0)))
 
@@ -509,6 +509,16 @@ class TestTune:
         trace = tune(objective, UNIT3, n0=8, n_query=0, seed=0)
         assert len(calls) == 8
         assert trace.incumbent_value == max(calls)
+
+    @pytest.mark.parametrize("n_query", [10**7, 10**9])
+    def test_unallocatable_budget_is_a_resource_error(self, n_query):
+        # At 10**7 the factor store would be about 1e17 bytes, far beyond any
+        # host's memory, so numpy's allocation fails at once; at 10**9 it is
+        # past numpy's largest array ("array is too big").  Nothing is held.
+        calls = []
+        with pytest.raises(ResourceError, match=f"n_query={n_query} "):
+            tune(calls.append, UNIT3, n0=4, n_query=n_query, seed=0)
+        assert calls == []
 
     def test_incumbent_nondecreasing_and_in_box(self):
         def objective(theta):

@@ -49,8 +49,6 @@ def valid_configs(draw):
     overlap = draw(st.integers(1, 8))
     qubits = draw(st.lists(st.integers(overlap + 1, QUBIT_CEILING), min_size=1, max_size=4,
                            unique=True))
-    mean_lo = draw(_FINITE)
-    noise_lo = draw(st.floats(0.0, 1e3))
     gen = GenSpec(
         n_steps=draw(st.integers(2 * window, 10_000)),
         n_trend_changes=draw(st.integers(0, 50)),
@@ -70,10 +68,6 @@ def valid_configs(draw):
         kernel=draw(st.sampled_from(kernels.KERNEL_KINDS)),
         matern_nu=draw(st.sampled_from(kernels.MATERN_NUS)),
         matern_all=draw(st.booleans()),
-        mean_lo=mean_lo,
-        mean_hi=mean_lo + draw(_POSITIVE),
-        noise_lo=noise_lo,
-        noise_hi=noise_lo + draw(_POSITIVE),
         n0=draw(st.integers(1, 500)),
         n_query=draw(st.integers(1, 500)),
         restarts=draw(st.integers(1, 64)),
@@ -109,8 +103,9 @@ class TestConfig:
         assert cfg.gen.sine2_amplitude == 0.5 and cfg.gen.noise_sd == 0.5
         assert cfg.window == 5 and cfg.train_overlap == 2
         assert cfg.n0 == 25 and cfg.n_query == 25
-        assert (cfg.mean_lo, cfg.mean_hi) == (-1.0, 1.0)
-        assert (cfg.noise_lo, cfg.noise_hi) == (0.0, 1.0)
+        assert experiments.search_space_for(cfg).dims == (
+            ("alpha", 0.0, 1.0), ("noise_var", 0.0, 1.0), ("mean_const", -1.0, 1.0)
+        )
         assert cfg.ablate_n_steps == 480 and cfg.ablate_train_overlap == 4
         assert cfg.ablate_qubits == (5, 6, 7, 8, 9, 10)
 
@@ -142,6 +137,17 @@ class TestConfig:
         path = _write_config(tmp_path, "wndow = 6\n")
         with pytest.raises(ConfigError):
             load_config(path, env={})
+
+    def test_tuning_box_is_not_configurable(self, tmp_path, capsys):
+        # The noise and mean intervals are constants of the search space.
+        path = _write_config(tmp_path, "bounds.noise_lo = 0.1\n")
+        with pytest.raises(ConfigError, match="unknown config key 'bounds.noise_lo'"):
+            load_config(path, env={})
+        out = tmp_path / "out"
+        assert cli.main(["--config", str(path), "--out", str(out), "tune"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "unknown config key" in err and err.count("\n") == 1
+        assert not out.exists()
 
     def test_bad_value_rejected(self, tmp_path):
         path = _write_config(tmp_path, "window = five\n")
@@ -217,15 +223,12 @@ class TestConfig:
     @pytest.mark.parametrize(
         "name, value",
         [
-            ("QUACK_BOUNDS_MEAN_HI", "inf"),
-            ("QUACK_BOUNDS_NOISE_HI", "inf"),
             ("QUACK_GEN_SLOPE", "nan"),
             ("QUACK_GEN_NOISE_SD", "inf"),
             ("QUACK_GEN_SINE1_PERIOD", "0"),
             ("QUACK_GEN_SINE2_PERIOD", "0"),
         ],
-        ids=["mean_hi_inf", "noise_hi_inf", "slope_nan", "noise_sd_inf", "sine1_period_zero",
-             "sine2_period_zero"],
+        ids=["slope_nan", "noise_sd_inf", "sine1_period_zero", "sine2_period_zero"],
     )
     def test_degenerate_float_exits_before_compare(self, tmp_path, monkeypatch, name, value):
         monkeypatch.setenv(name, value)
@@ -318,6 +321,13 @@ class TestTuneCommand:
         assert set(tuned["theta"]) == {"alpha", "noise_var", "mean_const"}
         assert 0.0 <= tuned["theta"]["alpha"] <= 1.0
         assert tuned["tuner"] == {"refactors": 0}
+
+    def test_unallocatable_budget_exits_2_without_traceback(self, tmp_path, capsys):
+        cfg_path = _write_config(tmp_path, "n_query = 10000000\n")
+        code = cli.main(["--config", str(cfg_path), "--out", str(tmp_path), "tune"])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: tuning budget") and err.count("\n") == 1
 
 
 class TestPredictCommand:
