@@ -107,24 +107,35 @@ def run_tune(cfg: ExperimentConfig, series: timeseries.Series, out_dir: Path) ->
     train, _ = timeseries.split(series, cfg.window, cfg.train_frac, cfg.train_overlap)
     space = search_space_for(cfg)
 
+    fh = None
+
     def objective(theta):
+        # The trace is opened at the first call, once tune has allocated its
+        # factor store, so a budget too large to allocate leaves no run
+        # directory, and a first trial that raises leaves the header.
+        nonlocal fh
+        if fh is None:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            fh = open(out_dir / "trace.csv", "w", encoding="utf-8")
+            fh.write(_line(("phase", *(f"theta_{n}" for n in space.names), "value", "timestamp")))
+            fh.flush()
         return gpr.mll(train.X, train.y, hyperparams(cfg, dict(zip(space.names, theta))))
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "trace.csv", "w", encoding="utf-8") as fh:
-        fh.write(_line(("phase", *(f"theta_{n}" for n in space.names), "value", "timestamp")))
+    def on_trial(phase, theta, value):
+        # Flushed per line so a partial trace survives an aborted run.
+        fh.write(_line((phase, *theta, value, f"{time.time():.6f}")))
+        fh.flush()
 
-        def on_trial(phase, theta, value):
-            # Flushed per line so a partial trace survives an aborted run.
-            fh.write(_line((phase, *theta, value, f"{time.time():.6f}")))
-            fh.flush()
-
-        started = time.perf_counter()
+    started = time.perf_counter()
+    try:
         trace = bayesopt.tune(
             objective, space, cfg.n0, cfg.n_query, cfg.seed_bo,
             restarts=cfg.restarts, on_trial=on_trial,
         )
-        seconds = time.perf_counter() - started
+    finally:
+        if fh is not None:
+            fh.close()
+    seconds = time.perf_counter() - started
     theta = {name: float(v) for name, v in zip(space.names, trace.incumbent_theta)}
     _write_json(out_dir / "tuned.json", {
         "kind": cfg.kernel,

@@ -20,13 +20,16 @@ amplitude index, little-endian, so amplitude index ``i`` has ``z_j = 1 -
 amplitude-level comparisons with a dense simulation need the same one.
 
 The embedding (:func:`embed_columns`) builds ``exp(i * phase)`` as a
-product of one- and two-qubit factors (:func:`_phase_factors`), so it
-takes about ``16 (n - 3) + n^2 / 2`` complex exponentials per window
-instead of ``2^n``, and uses an unnormalized fast Walsh-Hadamard
-transform (:func:`_fwht`), deferring the combined ``2^-n`` normalization
-to a single exact scaling of the phase factors.  The transform applies
-the +-1 Hadamard matrices of groups of up to four qubits to a whole block
-as stacked BLAS products.  It embeds the c columns of a (w, c) design into
+two-level product over a split of the qubits into low and high ones
+(:func:`_phase_factors`): a row of low-qubit factors, doubled over the
+high qubits by row vectors, then scaled row by row.  That is about three
+passes over the state in O(n) numpy calls per block, and about ``2^(n/2)
+(n/2 + 2)`` complex exponentials per window instead of ``2^n``.  It uses
+an unnormalized fast Walsh-Hadamard transform (:func:`_fwht`), deferring
+the combined ``2^-n`` normalization to a single exact scaling of the
+phase factors.  The transform applies the +-1 Hadamard matrices of
+near-equal groups of up to four qubits to a whole block as stacked BLAS
+products.  It embeds the c columns of a (w, c) design into
 one preallocated (c, 2^n) array and works on blocks of whole rows of at
 most ``_BLOCK_AMPLITUDES`` amplitudes: a thousand windows at 5 qubits, one
 at 16, so each transform stays in cache.  One phase block and one scratch
@@ -87,9 +90,14 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 _HADAMARD = tuple(_read_only(hadamard(2**g, dtype=float)) for g in range(5))
 _HADAMARD_PAIRS = tuple(_read_only(np.kron(h, np.eye(2))) for h in _HADAMARD)
 
-# Qubits whose phases are exponentiated directly before the doubling starts;
-# see _phase_factors.
-_DIRECT_QUBITS = 4
+# Phase factors (see _phase_factors): up to _DIRECT_QUBITS qubits are
+# exponentiated directly; a wider window keeps at least _LOW_QUBITS low
+# qubits, so every multiply runs along 16 amplitudes or more.  numpy's ufunc
+# buffer is cut to _UFUNC_BUFFER elements meanwhile; its default 8192 complex
+# are an eighth of a 16-qubit state.
+_DIRECT_QUBITS = 5
+_LOW_QUBITS = 4
+_UFUNC_BUFFER = 256
 
 
 @dataclass(frozen=True)
@@ -122,8 +130,8 @@ def _as_window(x, n: int | None = None, ndim: int = 1) -> np.ndarray:
     return x
 
 
-def _linear_sums(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``s = sum_j x_j z_j`` on every basis state, and ``x @ x``, per column x of X.
+def _linear_sums(X: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """``s = sum_j x_j z_j`` on every basis state, into ``s``, per column x of X.
 
     ``s`` is built by sum doubling over the qubits: after qubit ``j``, the
     first ``2^(j+1)`` entries hold the sums over qubits 0..j, the lower half
@@ -131,13 +139,10 @@ def _linear_sums(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     subtracted it.  Every operation is elementwise across columns, so a
     column's sums do not depend on the other columns.
 
-    Returns
-    -------
-    (numpy.ndarray, numpy.ndarray)
-        ``s`` of shape (c, 2^n) and ``x @ x`` of shape (c, 1).
+    ``s`` is a (c, 2^n) float array.  Returns ``x @ x`` of shape (c, 1),
+    summed qubit by qubit for the same reason.
     """
     n, c = X.shape
-    s = np.empty((c, 2**n))
     s[:, 0] = 0.0
     xx = np.zeros((c, 1))
     for j in range(n):
@@ -146,12 +151,22 @@ def _linear_sums(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         np.subtract(s[:, :h], x, out=s[:, h : 2 * h])
         s[:, :h] += x
         xx += x * x
-    return s, xx
+    return xx
 
 
-def _phases(s: np.ndarray, xx, alpha: float) -> np.ndarray:
-    """Phases from ``s`` and ``xx`` of :func:`_linear_sums`; see :func:`diagonal_phases`."""
-    return alpha * s + alpha**2 * (s * s - xx) / 2.0
+def _phases(s: np.ndarray, xx, alpha: float, out: np.ndarray) -> np.ndarray:
+    """Phases from ``s`` and ``xx`` of :func:`_linear_sums`, into ``out``.
+
+    The phase of :func:`diagonal_phases`, ``alpha s + alpha^2 (s^2 - xx) /
+    2``, is evaluated as ``s (alpha + alpha^2 s / 2) - alpha^2 xx / 2``, so
+    no array of the shape of ``s`` is allocated.
+    """
+    half = alpha**2 / 2.0
+    np.multiply(s, half, out=out)
+    out += alpha
+    out *= s
+    out -= half * xx
+    return out
 
 
 def diagonal_phases(x, alpha: float) -> np.ndarray:
@@ -161,8 +176,8 @@ def diagonal_phases(x, alpha: float) -> np.ndarray:
     z_j z_j'`` with ``z_j`` the Pauli-Z eigenvalue of qubit ``j`` in basis
     state ``b``.  The pairwise sum is folded to ``(s^2 - sum_j x_j^2) / 2``
     with ``s = sum_j x_j z_j``, exact because ``z_j^2 = 1``.  The embedding
-    exponentiates only the first 16 of these and builds the rest of
-    ``exp(i * phase)`` from one- and two-qubit factors; see
+    exponentiates these only on up to five qubits and builds ``exp(i *
+    phase)`` from a split of the qubits above that; see
     :func:`_phase_factors`.
 
     Parameters
@@ -179,15 +194,17 @@ def diagonal_phases(x, alpha: float) -> np.ndarray:
     """
     x = _as_window(x)
     params = IqpParams(alpha=float(alpha), n=x.shape[0])
-    s, xx = _linear_sums(x[:, None])
-    return _phases(s, xx, params.alpha)[0]
+    s = np.empty((1, 2 ** x.shape[0]))
+    xx = _linear_sums(x[:, None], s)
+    return _phases(s, xx, params.alpha, np.empty_like(s))[0]
 
 
 def _fwht(src: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
     """Unnormalized fast Walsh-Hadamard transform of each row of ``src``.
 
-    The index bits are split into groups of four from bit 0 up, the last
-    group taking the remainder, and each group's +-1 Hadamard matrix ``H``
+    The index bits are split into ``ceil(n / 4)`` near-equal groups of at
+    most four bits, the smaller ones on the low bits (5 qubits: 2, 3; 14
+    qubits: 3, 3, 4, 4).  Each group's +-1 Hadamard matrix ``H``
     (2^g x 2^g) is applied to the float view of the whole block by one
     stacked BLAS product.  The float view doubles the lowest axis, so the
     lowest group is ``(rows, 2^(n-g), 2^(g+1)) @ kron(H, I_2)``, in which
@@ -204,7 +221,8 @@ def _fwht(src: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
     """
     rows, size = src.shape
     n = size.bit_length() - 1
-    groups = [4] * (n // 4) + [n % 4] * (n % 4 > 0)
+    count = -(-n // 4)
+    groups = [n // count] * (count - n % count) + [n // count + 1] * (n % count)
     targets = (out, scratch) if len(groups) % 2 == 1 else (scratch, out)
     a = src.view(float)
     low = 0
@@ -220,49 +238,84 @@ def _fwht(src: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
         low += g
 
 
+def _exp_i(z: np.ndarray) -> None:
+    """Replace each entry of ``z``, whose imaginary part holds an angle, by ``exp(i angle)``."""
+    z.real = 0.0
+    np.exp(z, out=z)
+
+
+def _low_qubits(n: int) -> int:
+    """Qubits in the low half of :func:`_phase_factors`'s split of ``n``."""
+    return n if n <= _DIRECT_QUBITS else max(_LOW_QUBITS, -(-n // 2))
+
+
 def _phase_factors(
     X: np.ndarray, alpha: float, out: np.ndarray, scratch: np.ndarray, spare: np.ndarray
 ) -> None:
     """``exp(i * phase)`` on every basis state, per column of X, into ``out``.
 
-    The phases of the lowest ``_DIRECT_QUBITS`` qubits are exponentiated
-    directly.  Each further qubit j doubles the filled prefix: with
-    ``s_<j(b)`` the linear sum of :func:`_linear_sums` over the qubits
-    below j, the lower half (z_j = +1) is multiplied by ``u_j(b) =
-    exp(i alpha x_j (1 + alpha s_<j(b)))`` and the upper half (z_j = -1)
-    is the lower one times ``conj(u_j)``.  ``u_j`` is itself built in
-    ``scratch`` from its direct first ``2^_DIRECT_QUBITS`` entries by
-    doubling with ``exp(+-i alpha^2 x_j x_k)`` over qubits k < j, and its
-    conjugate goes to ``spare``.  That is about ``16 (n - 3) + n^2 / 2``
-    exponentials per column instead of ``2^n``.
+    Up to ``_DIRECT_QUBITS`` qubits the phases of :func:`_phases` are
+    exponentiated directly.  Above that the qubits are split into the low
+    ``L = max(_LOW_QUBITS, ceil(n / 2))`` and the high ``H = n - L``.  With
+    ``s`` and ``xx`` of :func:`_linear_sums` split the same way, ``s = s_L
+    + s_H`` and ``xx = xx_L + xx_H``, the phase of the basis state with low
+    bits ``b`` and high bits ``r`` is exactly
 
-    Every multiply runs along the amplitude axis in runs of at least
-    ``2^_DIRECT_QUBITS``.  numpy rounds a complex multiply differently in
-    its SIMD body than in its scalar and broadcast paths; doubling from
-    runs of one amplitude lets the path, and so a window's state, depend
-    on how many columns are built at once.
+        f_L(b) + f_H(r) + alpha^2 s_H(r) s_L(b),
 
-    ``out``, ``scratch`` and ``spare`` are (c, 2^n) complex blocks; only
-    ``out`` holds a result.
+    ``f`` being :func:`_phases` of each half, because the pairwise sum is
+    already folded to ``(s^2 - xx) / 2``.  Viewing a row of ``out`` as a
+    (2^H, 2^L) matrix, ``exp(i f_L)`` is written into its first row; each
+    high qubit k then doubles the filled rows, the lower half (z_k = +1)
+    multiplied by the row vector ``g_k = exp(i alpha^2 x_k s_L)`` and the
+    upper half (z_k = -1) being the lower one times ``conj(g_k)``; last,
+    row ``r`` is scaled by ``exp(i f_H(r))``.  That is about three passes
+    over the state in O(n) numpy calls, and ``2^L + H 2^L + 2^H``
+    exponentials per column instead of ``2^n``.  At five qubits the split
+    would take 34 and two more passes, so five are still direct.
+
+    Every multiply runs along the amplitude axis in runs of ``2^L >= 16``.
+    numpy may round a complex multiply differently in its SIMD body than in
+    its scalar and broadcast paths; runs of one amplitude would let the
+    path, and so a window's state, depend on how many columns are built at
+    once.
+
+    ``out``, ``scratch`` and ``spare`` are contiguous (c, 2^n) complex
+    blocks; only ``out`` holds a result.  ``g`` and its conjugate live in
+    the front of ``scratch``, the sums and ``exp(i f_H)`` in the front of
+    ``spare``.  numpy allocates its ufunc buffer for every broadcast that
+    cannot be coalesced, so it is cut to ``_UFUNC_BUFFER`` elements inside
+    ``np.errstate``, which restores it on exit, also when a call raises.
     """
-    n = X.shape[0]
-    base = min(n, _DIRECT_QUBITS)
-    s, xx = _linear_sums(X[:base])
-    np.exp(1j * _phases(s, xx, alpha), out=out[:, : 2**base])
-    for j in range(base, n):
-        h = 2**j
-        x = X[j][:, None]
-        u = scratch[:, :h]
-        np.exp(1j * (alpha * x * (1.0 + alpha * s)), out=u[:, : 2**base])
-        w = np.exp(1j * (alpha**2 * x * X[base:j].T))
-        w_conj = w.conj()
-        for k in range(base, j):
-            hk = 2**k
-            np.multiply(u[:, :hk], w_conj[:, k - base, None], out=u[:, hk : 2 * hk])
-            u[:, :hk] *= w[:, k - base, None]
-        u_conj = np.conjugate(u, out=spare[:, :h])
-        np.multiply(out[:, :h], u_conj, out=out[:, h : 2 * h])
-        out[:, :h] *= u
+    n, c = X.shape
+    low = _low_qubits(n)
+    high, cols = n - low, 2**low
+    rows = 2**high
+    floats = spare.view(float).reshape(-1)
+    block = out.reshape(c, rows, cols)
+    with np.errstate():
+        np.setbufsize(_UFUNC_BUFFER)
+        s = floats[: c * cols].reshape(c, cols)
+        xx = _linear_sums(X[:low], s)
+        _phases(s, xx, alpha, block[:, 0].imag)
+        _exp_i(block[:, 0])
+        if high == 0:
+            return
+        g, g_conj = scratch.reshape(-1)[: 2 * c * high * cols].reshape(2, c, high, cols)
+        np.multiply(alpha**2 * X[low:].T[:, :, None], s[:, None, :], out=g.imag)
+        _exp_i(g)
+        np.conjugate(g, out=g_conj)
+        for k in range(high):
+            h = 2**k
+            np.multiply(block[:, :h], g_conj[:, k, None], out=block[:, h : 2 * h])
+            block[:, :h] *= g[:, k, None]
+        # s_H overwrites s_L, no longer needed (2^H <= 2^L).
+        s = floats[: c * rows].reshape(c, rows)
+        f_high = floats[c * cols : c * (cols + 2 * rows)].view(complex).reshape(c, rows)
+        xx = _linear_sums(X[low:], s)
+        _phases(s, xx, alpha, f_high.imag)
+        _exp_i(f_high)
+        block *= f_high[:, :, None]
 
 
 def embed_columns(X, params: IqpParams) -> np.ndarray:
@@ -311,7 +364,7 @@ def _embed(X: np.ndarray, alpha: float) -> np.ndarray:
     for start in range(0, c, step):
         block = states[start : start + step]
         phase, scratch = phases[: len(block)], scratches[: len(block)]
-        # The block, not yet written, holds conj(u_j) while the phases are built.
+        # The block, not yet written, holds sums and exp(i f_H) while the phases are built.
         _phase_factors(X[:, start : start + step], alpha, phase, scratch, block)
         # H^n |0..0> is uniform; unnormalized it is the all-ones vector.
         _fwht(phase, block, scratch)

@@ -324,10 +324,14 @@ class TestTuneCommand:
 
     def test_unallocatable_budget_exits_2_without_traceback(self, tmp_path, capsys):
         cfg_path = _write_config(tmp_path, "n_query = 10000000\n")
-        code = cli.main(["--config", str(cfg_path), "--out", str(tmp_path), "tune"])
-        assert code == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert err.startswith("error: tuning budget") and err.count("\n") == 1
+        for command in ("tune", "predict"):
+            code = cli.main(["--config", str(cfg_path), "--out", str(tmp_path), command])
+            assert code == EXIT_CONFIG, command
+            err = capsys.readouterr().err
+            assert err.startswith("error: tuning budget") and err.count("\n") == 1, command
+            # the budget fails before any run directory is made
+            assert not (tmp_path / "tune_iqp").exists(), command
+            assert not (tmp_path / "predict_iqp").exists(), command
 
 
 class TestPredictCommand:

@@ -40,6 +40,17 @@ class TestRunTune:
         assert lines[0].startswith("phase,")
         assert len(lines) == 1 + 4  # header plus completed trials
 
+    def test_first_trial_failure_leaves_header_only_trace(self, tmp_path, monkeypatch):
+        def failing_mll(*args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(gpr, "mll", failing_mll)
+        cfg = _cfg(n0=8, n_query=2)
+        with pytest.raises(RuntimeError):
+            experiments.run_tune(cfg, experiments.build_series(cfg), tmp_path)
+        lines = (tmp_path / "trace.csv").read_text().strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("phase,")
+
     def test_trace_file_format(self, tmp_path):
         cfg = _cfg(n0=3, n_query=2)
         result = experiments.run_tune(cfg, experiments.build_series(cfg), tmp_path)

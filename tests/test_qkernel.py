@@ -120,24 +120,35 @@ class TestBlockPath:
         [
             # more columns than one block holds at 5 qubits
             (5, qkernel._BLOCK_AMPLITUDES // 2**5 + 3),
-            # blocks of two windows at 14 qubits; the third starts a new block
+            # blocks of two windows at 14 qubits (transform groups 3, 3, 4,
+            # 4); the third starts a new block
             (14, 3),
-            # all phases direct, then one doubling step after the direct qubits
+            # all phases direct
             (4, 3),
             (5, 3),
-            # a block of one window
+            # a block of one window; phase factors split 8 low, 8 high
             (16, 2),
-            # the grouped transform: three groups of four qubits, in a block
-            # of eight windows and a block of one
+            # three groups of four qubits, in a block of eight windows and a
+            # block of one; phase factors split 6 low, 6 high
             (12, 9),
-            # groups of four and a remainder of one (and, at 14 above, two)
+            # groups 3, 3, 3, 4; phase factors split 7 low, 6 high
             (13, 3),
-            # a remainder of three, in a block of 16 windows and a block of one
+            # groups 3, 4, 4, in a block of 16 windows and a block of one
             (11, 17),
-            # two groups of four, in a block of 128 windows and a block of two
+            # two groups of four, in a block of 128 windows and a block of
+            # two; phase factors split 4 low, 4 high
             (8, 130),
-            # a remainder of two, in a block of 32 windows and a block of three
+            # groups 3, 3, 4, in a block of 32 windows and a block of three
             (10, 35),
+            # groups 3, 3, in a block of 512 windows and a block of two;
+            # phase factors split 4 low, 2 high, not 3, 3
+            (6, 514),
+            # groups 3, 4, in a block of 256 windows and a block of two;
+            # phase factors split 4 low, 3 high
+            (7, 258),
+            # groups 3, 3, 3, in a block of 64 windows and a block of two;
+            # phase factors split 5 low, 4 high
+            (9, 66),
         ],
     )
     def test_columns_bit_equal_to_single_column_calls(self, n, c):
@@ -181,24 +192,65 @@ class TestBlockPath:
     def test_zero_columns(self):
         assert embed_columns(np.zeros((3, 0)), IqpParams(0.5, 3)).shape == (0, 8)
 
-    @pytest.mark.parametrize("n", range(1, 11))
+    @pytest.mark.parametrize("n", range(1, 17))
     @pytest.mark.parametrize("alpha", [0.0, 0.05, 1.0])
     def test_phase_factors_match_exponential_of_phases(self, n, alpha):
-        x = np.random.default_rng(n).normal(size=n)
-        out, scratch, spare = np.empty((3, 1, 2**n), dtype=complex)
-        qkernel._phase_factors(x[:, None], alpha, out, scratch, spare)
-        expected = np.exp(1j * diagonal_phases(x, alpha))
-        assert np.abs(out[0] - expected).max() <= 1e-13
+        # one window, and a block of three whose sums and exp(i f_H) share
+        # the tails of scratch and spare
+        X = np.random.default_rng(n).normal(size=(n, 3))
+        for rows in (1, 3):
+            out, scratch, spare = np.empty((3, rows, 2**n), dtype=complex)
+            qkernel._phase_factors(X[:, :rows], alpha, out, scratch, spare)
+            for row in range(rows):
+                expected = np.exp(1j * diagonal_phases(X[:, row], alpha))
+                assert np.abs(out[row] - expected).max() <= 1e-13, (rows, row)
+
+    def test_phase_split_keeps_runs_of_16(self):
+        # Above five qubits every complex multiply of the phase factors runs
+        # along the 2^L >= 16 low amplitudes, and s_H fits where s_L was
+        # (H <= L).  A numpy whose complex multiply rounds alike at every
+        # run length cannot show a shorter run in the bit-equality cases.
+        for n in range(6, qkernel.QUBIT_CEILING + 1):
+            low = qkernel._low_qubits(n)
+            assert 2**low >= 16 and n - low <= low, n
+
+    def test_ufunc_buffer_size_restored(self, monkeypatch):
+        # The phase factors shrink numpy's ufunc buffer for their own calls
+        # only, also when a call raises inside them.
+        params = IqpParams(0.5, 12)
+        X, X2 = np.random.default_rng(26).normal(size=(2, 12, 3))
+        with np.errstate():
+            np.setbufsize(4096)
+            embed_columns(X, params)
+            gram_matrix(X, params)
+            qkernel.cross_gram(X, X2, params)
+            assert np.getbufsize() == 4096
+
+            def failing(z):
+                raise RuntimeError("boom")
+
+            monkeypatch.setattr(qkernel, "_exp_i", failing)
+            for call, args in (
+                (embed_columns, (X, params)),
+                (gram_matrix, (X, params)),
+                (qkernel.cross_gram, (X, X2, params)),
+            ):
+                with pytest.raises(RuntimeError):
+                    call(*args)
+                assert np.getbufsize() == 4096, call.__name__
 
     def test_no_state_sized_temporaries(self):
         # Peak traced memory over the states' bytes.  Embedding one window
         # needs the state, the phase block and the transform's scratch
         # block; the rest (array headers, 16-entry tables) is well under
-        # 1 % of a 16-qubit state.  The Gram and cross kernel add only
-        # one-window blocks to the training states: no conjugated copies.
-        # A full block of 1024 windows at 5 qubits peaks at 4.27 x the
-        # states, while the phase factors are built; a second phase or
-        # scratch block would add 1.0 x.
+        # 1 % of a 16-qubit state; the phase factors keep their sums and
+        # factors in the tails of the scratch and state blocks, and shrink
+        # numpy's ufunc buffer, whose default 8192 elements are 12.5 % of
+        # it.  The Gram and cross kernel add only one-window blocks to the
+        # training states: no conjugated copies.  A full block of 1024
+        # windows at 5 qubits peaks at 3.04 x the states; a block-sized
+        # copy anywhere, in the phase factors or in the transform, would
+        # add 1.0 x.
         rng = np.random.default_rng(23)
         params = IqpParams(0.5, 16)
         X, X2 = rng.normal(size=(16, 29)), rng.normal(size=(16, 20))
@@ -207,7 +259,7 @@ class TestBlockPath:
             (embed_columns, (X[:, :1], params), 1, 3.01),
             (gram_matrix, (X, params), 29, 1.25),
             (qkernel.cross_gram, (X, X2, params), 29, 2.0),
-            (embed_columns, (small, IqpParams(0.5, 5)), small.shape[1], 4.4),
+            (embed_columns, (small, IqpParams(0.5, 5)), small.shape[1], 3.1),
         ):
             state_bytes = 2 ** args[0].shape[0] * np.dtype(complex).itemsize
             tracemalloc.start()
@@ -221,9 +273,9 @@ class TestBlockPath:
     @pytest.mark.parametrize("n", [1, 5, 10, 16])
     def test_transform_allocates_no_block(self, n):
         # The stacked products write into out and scratch.  A product that
-        # copied an operand would allocate a block, which the embedding's
-        # peak above would not show: at 5 qubits the transform's 3 blocks
-        # plus one stay below the phase factors' 4.27.
+        # copied an operand would allocate a block; the embedding's peak
+        # above shows that only at full blocks of 5 qubits, and this bounds
+        # the transform alone at every block size.
         rows = max(1, qkernel._BLOCK_AMPLITUDES // 2**n)
         src = np.ones((rows, 2**n), dtype=complex)
         out, scratch = np.empty_like(src), np.empty_like(src)
