@@ -22,21 +22,21 @@ amplitude-level comparisons with a dense simulation need the same one.
 The embedding (:func:`embed_columns`) builds ``exp(i * phase)`` as a
 two-level product over a split of the qubits into low and high ones
 (:func:`_phase_factors`): a row of low-qubit factors, doubled over the
-high qubits by row vectors, then scaled row by row.  That is about three
-passes over the state in O(n) numpy calls per block, and about ``2^(n/2)
-(n/2 + 2)`` complex exponentials per window instead of ``2^n``.  It uses
-an unnormalized fast Walsh-Hadamard transform (:func:`_fwht`), deferring
-the combined ``2^-n`` normalization to a single exact scaling of the
-phase factors.  The transform applies the +-1 Hadamard matrices of
-near-equal groups of up to four qubits to a whole block as stacked BLAS
-products.  It embeds the c columns of a (w, c) design into
-one preallocated (c, 2^n) array and works on blocks of whole rows of at
-most ``_BLOCK_AMPLITUDES`` amplitudes: a thousand windows at 5 qubits, one
-at 16, so each transform stays in cache.  One phase block and one scratch
-block serve every block of a call.  :func:`cross_gram` embeds its query
-columns in chunks, so only one chunk of query states is live at a time.
-Windows longer than ``QUBIT_CEILING`` are refused before anything is
-allocated.
+high qubits by row vectors, then scaled row by row; the factors and row
+vectors are built once per call (:func:`_factor_inputs`), in the tail of
+the states not yet written.  That is about three passes over the state
+in O(n) numpy calls per block, and about ``2^(n/2) (n/2 + 2)`` complex
+exponentials per window instead of ``2^n``.  The Walsh-Hadamard
+transform (:func:`_fwht`) applies Hadamard matrices of near-equal groups
+of up to four qubits, scaled to carry the exact ``2^-n`` of both layers,
+to a whole block as stacked BLAS products.  It embeds the c columns of a
+(w, c) design into one preallocated (c, 2^n) array and works on blocks
+of whole rows of at most ``_BLOCK_AMPLITUDES`` amplitudes: a thousand
+windows at 5 qubits, one at 16, so each transform stays in cache.  One
+phase block and one scratch block (:func:`_workspace`) serve every block
+of a call, and every query chunk of :func:`cross_gram`, which keeps one
+chunk of query states live at a time.  Windows longer than
+``QUBIT_CEILING`` are refused before anything is allocated.
 
 What is exact and what is not:
 
@@ -44,7 +44,7 @@ What is exact and what is not:
   complex multiply runs along the amplitude axis in runs of at least 16,
   so a state is bit-for-bit the same whether its window is embedded alone
   or in a block of any size;
-* the transform's products of +-1 are exact, and each of its sums of at
+* the transform's products of +-2^-g are exact, and each of its sums of at
   most 16 terms is rounded in the BLAS's order; its products have shapes
   that depend only on the qubit count, so a state does not depend on its
   block, nor (tested) on the BLAS thread count, but its last bits may
@@ -85,16 +85,18 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-# The +-1 Hadamard matrices H_1, H_2, ..., H_16 (index g is 2^g x 2^g), and
-# each as kron(H, I_2), for the float view of a block.
-_HADAMARD = tuple(_read_only(hadamard(2**g, dtype=float)) for g in range(5))
+# The Hadamard matrices H_1, H_2, ..., H_16 (index g is 2^g x 2^g) scaled by
+# 2^-g, so a transform of n qubits carries the exact 2^-n of both Hadamard
+# layers, and each as kron(H, I_2), for the float view of a block.
+_HADAMARD = tuple(_read_only(hadamard(2**g, dtype=float) * 2.0**-g) for g in range(5))
 _HADAMARD_PAIRS = tuple(_read_only(np.kron(h, np.eye(2))) for h in _HADAMARD)
 
 # Phase factors (see _phase_factors): up to _DIRECT_QUBITS qubits are
 # exponentiated directly; a wider window keeps at least _LOW_QUBITS low
-# qubits, so every multiply runs along 16 amplitudes or more.  numpy's ufunc
-# buffer is cut to _UFUNC_BUFFER elements meanwhile; its default 8192 complex
-# are an eighth of a 16-qubit state.
+# qubits, so every multiply runs along 16 amplitudes or more.  numpy allocates
+# its ufunc buffer for every broadcast that cannot be coalesced, so an
+# embedding cuts it to _UFUNC_BUFFER elements; its default 8192 complex are
+# an eighth of a 16-qubit state.
 _DIRECT_QUBITS = 5
 _LOW_QUBITS = 4
 _UFUNC_BUFFER = 256
@@ -200,21 +202,22 @@ def diagonal_phases(x, alpha: float) -> np.ndarray:
 
 
 def _fwht(src: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
-    """Unnormalized fast Walsh-Hadamard transform of each row of ``src``.
+    """Fast Walsh-Hadamard transform of each row of ``src``, times ``2^-n``.
 
     The index bits are split into ``ceil(n / 4)`` near-equal groups of at
     most four bits, the smaller ones on the low bits (5 qubits: 2, 3; 14
-    qubits: 3, 3, 4, 4).  Each group's +-1 Hadamard matrix ``H``
-    (2^g x 2^g) is applied to the float view of the whole block by one
-    stacked BLAS product.  The float view doubles the lowest axis, so the
-    lowest group is ``(rows, 2^(n-g), 2^(g+1)) @ kron(H, I_2)``, in which
+    qubits: 3, 3, 4, 4).  Each group's Hadamard matrix ``H`` (2^g x 2^g,
+    entries ``+-2^-g``) is applied to the float view of the whole block by
+    one stacked BLAS product.  The float view doubles the lowest axis, so
+    the lowest group is ``(rows, 2^(n-g), 2^(g+1)) @ kron(H, I_2)``, in which
     ``I_2`` keeps the real and imaginary parts apart, and a group with
     ``b`` bits below it is ``H @ (rows, 2^(n-b-g), 2^g, 2^(b+1))``.  numpy
     runs such a product as one matrix product per row and stacked matrix,
     each of a shape that depends only on n, so a row's transform does not
     depend on its block, nor (tested) on the BLAS thread count.  The
-    products of +-1 are exact and each output is a sum of at most 16
-    terms, rounded in the BLAS's order.
+    products of ``+-2^-g`` are exact and each output is a sum of at most 16
+    terms, rounded in the BLAS's order: exactly ``2^-n`` times the output
+    of the +-1 matrices.
 
     The products alternate between ``out`` and ``scratch`` (both shaped
     like ``src``) so the last one writes ``out``; ``src`` is left unchanged.
@@ -249,83 +252,97 @@ def _low_qubits(n: int) -> int:
     return n if n <= _DIRECT_QUBITS else max(_LOW_QUBITS, -(-n // 2))
 
 
+def _inputs_per_window(n: int) -> int:
+    """Amplitudes of :func:`_factor_inputs`'s output per window, 0 if direct."""
+    low = _low_qubits(n)
+    return 0 if low == n else 2**low * (1 + n - low) + 2 ** (n - low)
+
+
+def _factor_inputs(X: np.ndarray, alpha: float, store: np.ndarray, sums: np.ndarray):
+    """The inputs of :func:`_phase_factors` for every column of X.
+
+    Row j of the contiguous (c, :func:`_inputs_per_window`) complex
+    ``store`` gets column j's ``exp(i f_L)`` (2^L), ``g`` (H, 2^L) and
+    ``exp(i f_H)`` (2^H), returned as three views indexed by column first;
+    all are exponentiated in one call.  The sums take ``c 2^L`` floats of
+    ``sums``.  Without high qubits ``store`` is (c, 2^n) and gets only
+    ``exp(i f_L)``, the phase factor.
+    """
+    n, c = X.shape
+    low = _low_qubits(n)
+    high, cols, rows = n - low, 2**low, 2 ** (n - low)
+    f_low = store[:, :cols]
+    g = store[:, cols : cols * (1 + high)].reshape(c, high, cols)
+    f_high = store[:, cols * (1 + high) :]
+    s = sums[: c * cols].reshape(c, cols)
+    xx = _linear_sums(X[:low], s)
+    _phases(s, xx, alpha, f_low.imag)
+    if high:
+        np.multiply(alpha**2 * X[low:].T[:, :, None], s[:, None, :], out=g.imag)
+        s = sums[: c * rows].reshape(c, rows)
+        xx = _linear_sums(X[low:], s)
+        _phases(s, xx, alpha, f_high.imag)
+    _exp_i(store)
+    return f_low, g, f_high
+
+
 def _phase_factors(
-    X: np.ndarray, alpha: float, out: np.ndarray, scratch: np.ndarray, spare: np.ndarray
+    f_low: np.ndarray, g: np.ndarray, f_high: np.ndarray, out: np.ndarray, scratch: np.ndarray
 ) -> None:
-    """``exp(i * phase)`` on every basis state, per column of X, into ``out``.
+    """``exp(i * phase)`` on every basis state of a block, into ``out``.
 
     Up to ``_DIRECT_QUBITS`` qubits the phases of :func:`_phases` are
-    exponentiated directly.  Above that the qubits are split into the low
-    ``L = max(_LOW_QUBITS, ceil(n / 2))`` and the high ``H = n - L``.  With
-    ``s`` and ``xx`` of :func:`_linear_sums` split the same way, ``s = s_L
-    + s_H`` and ``xx = xx_L + xx_H``, the phase of the basis state with low
+    exponentiated directly, and :func:`_factor_inputs` writes them into the
+    phase block.  Above that the qubits are split into the low ``L =
+    max(_LOW_QUBITS, ceil(n / 2))`` and the high ``H = n - L``.  With ``s``
+    and ``xx`` of :func:`_linear_sums` split the same way, ``s = s_L +
+    s_H`` and ``xx = xx_L + xx_H``, the phase of the basis state with low
     bits ``b`` and high bits ``r`` is exactly
 
         f_L(b) + f_H(r) + alpha^2 s_H(r) s_L(b),
 
     ``f`` being :func:`_phases` of each half, because the pairwise sum is
-    already folded to ``(s^2 - xx) / 2``.  Viewing a row of ``out`` as a
-    (2^H, 2^L) matrix, ``exp(i f_L)`` is written into its first row; each
-    high qubit k then doubles the filled rows, the lower half (z_k = +1)
-    multiplied by the row vector ``g_k = exp(i alpha^2 x_k s_L)`` and the
-    upper half (z_k = -1) being the lower one times ``conj(g_k)``; last,
+    already folded to ``(s^2 - xx) / 2``.  ``f_low``, ``g`` and ``f_high``
+    are this block's rows of :func:`_factor_inputs`, built once per call.
+    Viewing a row of ``out`` as a (2^H, 2^L) matrix, ``exp(i f_L)`` is
+    copied into its first row; each high qubit k then doubles the filled
+    rows, the lower half (z_k = +1) multiplied by the row vector ``g_k =
+    exp(i alpha^2 x_k s_L)`` and the upper half (z_k = -1) being the lower
+    one times ``conj(g_k)``, which lives in the front of ``scratch``; last,
     row ``r`` is scaled by ``exp(i f_H(r))``.  That is about three passes
-    over the state in O(n) numpy calls, and ``2^L + H 2^L + 2^H``
-    exponentials per column instead of ``2^n``.  At five qubits the split
-    would take 34 and two more passes, so five are still direct.
+    over the state in O(H) numpy calls per block, and ``2^L + H 2^L +
+    2^H`` exponentials per column instead of ``2^n``.  At five qubits the
+    split would take 34 and two more passes, so five are still direct.
 
     Every multiply runs along the amplitude axis in runs of ``2^L >= 16``.
     numpy may round a complex multiply differently in its SIMD body than in
     its scalar and broadcast paths; runs of one amplitude would let the
     path, and so a window's state, depend on how many columns are built at
     once.
-
-    ``out``, ``scratch`` and ``spare`` are contiguous (c, 2^n) complex
-    blocks; only ``out`` holds a result.  ``g`` and its conjugate live in
-    the front of ``scratch``, the sums and ``exp(i f_H)`` in the front of
-    ``spare``.  numpy allocates its ufunc buffer for every broadcast that
-    cannot be coalesced, so it is cut to ``_UFUNC_BUFFER`` elements inside
-    ``np.errstate``, which restores it on exit, also when a call raises.
     """
-    n, c = X.shape
-    low = _low_qubits(n)
-    high, cols = n - low, 2**low
-    rows = 2**high
-    floats = spare.view(float).reshape(-1)
-    block = out.reshape(c, rows, cols)
-    with np.errstate():
-        np.setbufsize(_UFUNC_BUFFER)
-        s = floats[: c * cols].reshape(c, cols)
-        xx = _linear_sums(X[:low], s)
-        _phases(s, xx, alpha, block[:, 0].imag)
-        _exp_i(block[:, 0])
-        if high == 0:
-            return
-        g, g_conj = scratch.reshape(-1)[: 2 * c * high * cols].reshape(2, c, high, cols)
-        np.multiply(alpha**2 * X[low:].T[:, :, None], s[:, None, :], out=g.imag)
-        _exp_i(g)
-        np.conjugate(g, out=g_conj)
-        for k in range(high):
-            h = 2**k
-            np.multiply(block[:, :h], g_conj[:, k, None], out=block[:, h : 2 * h])
-            block[:, :h] *= g[:, k, None]
-        # s_H overwrites s_L, no longer needed (2^H <= 2^L).
-        s = floats[: c * rows].reshape(c, rows)
-        f_high = floats[c * cols : c * (cols + 2 * rows)].view(complex).reshape(c, rows)
-        xx = _linear_sums(X[low:], s)
-        _phases(s, xx, alpha, f_high.imag)
-        _exp_i(f_high)
-        block *= f_high[:, :, None]
+    c, high, cols = g.shape
+    g_conj = np.conjugate(g, out=scratch.reshape(-1)[: g.size].reshape(g.shape))
+    block = out.reshape(c, -1, cols)
+    block[:, 0] = f_low
+    for k in range(high):
+        h = 2**k
+        np.multiply(block[:, :h], g_conj[:, k, None], out=block[:, h : 2 * h])
+        block[:, :h] *= g[:, k, None]
+    block *= f_high[:, :, None]
+
+
+def _workspace(n: int, c: int) -> np.ndarray:
+    """A phase block and a scratch block for calls of up to c columns of n qubits."""
+    return np.empty((2, min(c, max(1, _BLOCK_AMPLITUDES // 2**n)), 2**n), dtype=complex)
 
 
 def embed_columns(X, params: IqpParams) -> np.ndarray:
     """Statevectors of every column of a (w, c) design, fast block path.
 
-    Applies phase multiplication and the Walsh-Hadamard transform without
-    intermediate normalization; the combined factor ``2^-n`` from both
-    Hadamard layers scales the phase factors once, before the last
-    multiply.  Being a pure power of two, that scaling is exact, so
-    ``alpha = 0`` returns |0...0> exactly.
+    Applies phase multiplication and the Walsh-Hadamard transform; the
+    transform carries the combined factor ``2^-n`` of both Hadamard layers.
+    Being a pure power of two, that scaling is exact, so ``alpha = 0``
+    returns |0...0> exactly.
 
     Parameters
     ----------
@@ -349,27 +366,43 @@ def embed_columns(X, params: IqpParams) -> np.ndarray:
     return _embed(X, params.alpha)
 
 
-def _embed(X: np.ndarray, alpha: float) -> np.ndarray:
-    """Block path of :func:`embed_columns` on a checked design, within ``QUBIT_CEILING``."""
+def _embed(X: np.ndarray, alpha: float, work=None) -> np.ndarray:
+    """Block path of :func:`embed_columns` on a checked design, within ``QUBIT_CEILING``.
+
+    ``work`` is a :func:`_workspace` for at least c columns, made here if
+    None.  ``np.errstate`` restores the ufunc buffer, also on a raise.
+    """
     n, c = X.shape
     if n > QUBIT_CEILING:
         raise ResourceError(
             f"{n} qubits exceeds the ceiling of {QUBIT_CEILING} ({2**n} amplitudes)"
         )
-    size = 2**n
-    states = np.empty((c, size), dtype=complex)
-    step = max(1, _BLOCK_AMPLITUDES // size)
-    phases = np.empty((min(c, step), size), dtype=complex)
-    scratches = np.empty_like(phases)
-    for start in range(0, c, step):
-        block = states[start : start + step]
-        phase, scratch = phases[: len(block)], scratches[: len(block)]
-        # The block, not yet written, holds sums and exp(i f_H) while the phases are built.
-        _phase_factors(X[:, start : start + step], alpha, phase, scratch, block)
-        # H^n |0..0> is uniform; unnormalized it is the all-ones vector.
-        _fwht(phase, block, scratch)
-        phase *= 2.0 ** (-n)
-        block *= phase
+    # The states before the blocks: the other order raised the peak RSS of
+    # the 5..10-qubit ablation by 0.2 MB (glibc heap layout).
+    states = np.empty((c, 2**n), dtype=complex)
+    phases, scratches = _workspace(n, c) if work is None else work
+    step, per = max(1, len(phases)), _inputs_per_window(n)
+    with np.errstate():
+        np.setbufsize(_UFUNC_BUFFER)
+        if per:
+            # The inputs go in the tail of the states, the sums in the front;
+            # less than a state per window, the inputs are overwritten by the
+            # blocks, written from the front, only once read.
+            flat = states.reshape(-1)
+            store = flat[c * (2**n - per) :].reshape(c, per)
+            inputs = _factor_inputs(X, alpha, store, flat.view(float))
+        for start in range(0, c, step):
+            stop = start + step
+            block = states[start:stop]
+            phase, scratch = phases[: len(block)], scratches[: len(block)]
+            if per:
+                _phase_factors(*(a[start:stop] for a in inputs), phase, scratch)
+            else:
+                # The block, not yet written, holds the sums.
+                _factor_inputs(X[:, start:stop], alpha, phase, block.reshape(-1).view(float))
+            # H^n |0..0> is uniform; unnormalized it is the all-ones vector.
+            _fwht(phase, block, scratch)
+            block *= phase
     return states
 
 
@@ -419,17 +452,19 @@ def cross_gram(X, X2, params: IqpParams) -> np.ndarray:
     so that wide windows still give the overlap product several query
     columns at once: at 16 qubits, the products of 120 queries against 29
     training states took 0.22 s in 1-column chunks and about 0.1 s in
-    8-column chunks (one OpenBLAS thread on a 2-CPU x86-64 host).  Each
-    query chunk is conjugated in place, so the training states are never
-    copied; a fidelity is symmetric in its two states.
+    8-column chunks (one OpenBLAS thread on a 2-CPU x86-64 host).  One
+    :func:`_workspace` serves every chunk.  Each query chunk is conjugated
+    in place, so the training states are never copied; a fidelity is
+    symmetric in its two states.
     """
     ket = _embed(_as_window(X, params.n, ndim=2), params.alpha)
     X2 = _as_window(X2, params.n, ndim=2)
     c2 = X2.shape[1]
     fidelity = np.empty((ket.shape[0], c2))
     width = max(8, _BLOCK_AMPLITUDES // 2**params.n)
+    work = _workspace(params.n, min(c2, width))
     for start in range(0, c2, width):
-        bra = _embed(X2[:, start : start + width], params.alpha)
+        bra = _embed(X2[:, start : start + width], params.alpha, work)
         np.conjugate(bra, out=bra)
         fidelity[:, start : start + width] = (np.abs(bra @ ket.T) ** 2).T
     return fidelity

@@ -1,4 +1,4 @@
-"""tools/embed_profile.py's per-block stage timings and their table."""
+"""tools/embed_profile.py's per-call stage timings and their table."""
 
 import importlib.util
 from pathlib import Path
@@ -28,21 +28,26 @@ def test_format_gives_median_and_iqr_in_ms():
     assert lines[2].split() == ["16", "1", "transform", "0.2500", "0.0000"]
 
 
-def test_profile_times_every_stage_at_the_block_size():
+def test_profile_times_every_stage_per_call():
+    # one block at 3 qubits, whose inputs are built in its phase factors;
+    # the objective's 29 windows at 16
     rows = embed_profile.profile([3, 16], repeats=5)
     assert [(r["qubits"], r["stage"]) for r in rows] == [
         (n, stage) for n in (3, 16) for stage in embed_profile.STAGES
     ]
-    assert [r["windows"] for r in rows] == [2**15 // 8] * 3 + [1] * 3
-    assert all(len(r["times"]) == 5 and min(r["times"]) > 0 for r in rows)
+    assert [r["windows"] for r in rows] == [2**15 // 8] * 4 + [29] * 4
+    assert all(len(r["times"]) == 5 for r in rows)
+    assert all(min(r["times"]) > 0 for r in rows if (r["qubits"], r["stage"]) != (3, "prepare"))
 
 
-@pytest.mark.parametrize("n", [5, 12])
+@pytest.mark.parametrize("n", [5, 12, 14, 16])
 def test_timed_steps_give_the_embedding(n):
-    # the tool times _embed's block loop step by step; a change to that
-    # loop must show here, not go on being timed in its old form
-    X = embed_profile.block_windows(n)
-    states, _ = embed_profile.time_block(X)
+    # the tool times _embed's steps one by one; a change to them must show
+    # here, not go on being timed in its old form.  Past 5 qubits the
+    # designs span several blocks (44 windows in blocks of 8 at 12 qubits,
+    # 35 in blocks of 2 at 14, 29 of one window at 16).
+    X = embed_profile.call_windows(n)
+    states, _ = embed_profile.time_call(X)
     assert np.array_equal(states, qkernel._embed(X, embed_profile.ALPHA))
 
 

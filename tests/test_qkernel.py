@@ -149,6 +149,12 @@ class TestBlockPath:
             # groups 3, 3, 3, in a block of 64 windows and a block of two;
             # phase factors split 5 low, 4 high
             (9, 66),
+            # factor inputs built once for blocks of 8 + 8 + 3 windows
+            (12, 19),
+            # ... for blocks of 2 + 2 + 1 windows
+            (14, 5),
+            # ... for three one-window blocks
+            (16, 3),
         ],
     )
     def test_columns_bit_equal_to_single_column_calls(self, n, c):
@@ -162,7 +168,7 @@ class TestBlockPath:
     @pytest.mark.parametrize("n", range(1, 17))
     def test_transform_matches_axis_by_axis_reference(self, n):
         # every group split, from a lone remainder up to four groups of
-        # four; src is left unchanged
+        # four, scaled by 2^-n; src is left unchanged
         rng = np.random.default_rng(n)
         rows = 3
         src = rng.normal(size=(rows, 2**n)) + 1j * rng.normal(size=(rows, 2**n))
@@ -171,7 +177,7 @@ class TestBlockPath:
         qkernel._fwht(src, out, scratch)
         assert np.array_equal(src, kept)
         for row in range(rows):
-            expected = hadamard_transform(src[row])
+            expected = 2.0**-n * hadamard_transform(src[row])
             assert np.abs(out[row] - expected).max() <= 1e-12 * np.abs(expected).max()
 
     def test_states_independent_of_blas_threads(self):
@@ -195,12 +201,18 @@ class TestBlockPath:
     @pytest.mark.parametrize("n", range(1, 17))
     @pytest.mark.parametrize("alpha", [0.0, 0.05, 1.0])
     def test_phase_factors_match_exponential_of_phases(self, n, alpha):
-        # one window, and a block of three whose sums and exp(i f_H) share
-        # the tails of scratch and spare
+        # one window, and a block of three whose factor inputs share one
+        # store
         X = np.random.default_rng(n).normal(size=(n, 3))
         for rows in (1, 3):
-            out, scratch, spare = np.empty((3, rows, 2**n), dtype=complex)
-            qkernel._phase_factors(X[:, :rows], alpha, out, scratch, spare)
+            out, scratch = np.empty((2, rows, 2**n), dtype=complex)
+            sums, per = np.empty(rows * 2**n), qkernel._inputs_per_window(n)
+            if per == 0:
+                qkernel._factor_inputs(X[:, :rows], alpha, out, sums)
+            else:
+                store = np.empty((rows, per), dtype=complex)
+                inputs = qkernel._factor_inputs(X[:, :rows], alpha, store, sums)
+                qkernel._phase_factors(*inputs, out, scratch)
             for row in range(rows):
                 expected = np.exp(1j * diagonal_phases(X[:, row], alpha))
                 assert np.abs(out[row] - expected).max() <= 1e-13, (rows, row)
@@ -210,47 +222,54 @@ class TestBlockPath:
         # along the 2^L >= 16 low amplitudes, and s_H fits where s_L was
         # (H <= L).  A numpy whose complex multiply rounds alike at every
         # run length cannot show a shorter run in the bit-equality cases.
+        # The factor inputs and their sums (2^L floats) fit in a state.
         for n in range(6, qkernel.QUBIT_CEILING + 1):
             low = qkernel._low_qubits(n)
             assert 2**low >= 16 and n - low <= low, n
+            assert qkernel._inputs_per_window(n) + 2 ** (low - 1) <= 2**n, n
 
     def test_ufunc_buffer_size_restored(self, monkeypatch):
-        # The phase factors shrink numpy's ufunc buffer for their own calls
-        # only, also when a call raises inside them.
-        params = IqpParams(0.5, 12)
+        # The embedding shrinks numpy's ufunc buffer for its own calls only,
+        # also when a call raises inside it: in the per-call build of the
+        # factor inputs at 12 qubits, in a block's direct phase factors at 5,
+        # or in a block's transform.
         X, X2 = np.random.default_rng(26).normal(size=(2, 12, 3))
         with np.errstate():
             np.setbufsize(4096)
+            params = IqpParams(0.5, 12)
             embed_columns(X, params)
             gram_matrix(X, params)
             qkernel.cross_gram(X, X2, params)
             assert np.getbufsize() == 4096
 
-            def failing(z):
+            def boom(*args):
                 raise RuntimeError("boom")
 
-            monkeypatch.setattr(qkernel, "_exp_i", failing)
-            for call, args in (
-                (embed_columns, (X, params)),
-                (gram_matrix, (X, params)),
-                (qkernel.cross_gram, (X, X2, params)),
-            ):
-                with pytest.raises(RuntimeError):
-                    call(*args)
-                assert np.getbufsize() == 4096, call.__name__
+            for n, failing in ((12, "_linear_sums"), (12, "_exp_i"), (5, "_exp_i"), (12, "_fwht")):
+                params = IqpParams(0.5, n)
+                with monkeypatch.context() as patch:
+                    patch.setattr(qkernel, failing, boom)
+                    for call, args in (
+                        (embed_columns, (X[:n], params)),
+                        (gram_matrix, (X[:n], params)),
+                        (qkernel.cross_gram, (X[:n], X2[:n], params)),
+                    ):
+                        with pytest.raises(RuntimeError):
+                            call(*args)
+                        assert np.getbufsize() == 4096, (n, failing, call.__name__)
 
     def test_no_state_sized_temporaries(self):
         # Peak traced memory over the states' bytes.  Embedding one window
         # needs the state, the phase block and the transform's scratch
         # block; the rest (array headers, 16-entry tables) is well under
-        # 1 % of a 16-qubit state; the phase factors keep their sums and
-        # factors in the tails of the scratch and state blocks, and shrink
-        # numpy's ufunc buffer, whose default 8192 elements are 12.5 % of
-        # it.  The Gram and cross kernel add only one-window blocks to the
-        # training states: no conjugated copies.  A full block of 1024
-        # windows at 5 qubits peaks at 3.04 x the states; a block-sized
-        # copy anywhere, in the phase factors or in the transform, would
-        # add 1.0 x.
+        # 1 % of a 16-qubit state; the factor inputs and their sums live in
+        # the states not yet written (a store of their own would add 4 %),
+        # and numpy's ufunc buffer, whose default 8192 elements are 12.5 %
+        # of it, is shrunk.  The Gram and cross kernel add only one-window
+        # blocks to the training states: no conjugated copies.  A full
+        # block of 1024 windows at 5 qubits peaks at 3.04 x the states; a
+        # block-sized copy anywhere, in the phase factors or in the
+        # transform, would add 1.0 x.
         rng = np.random.default_rng(23)
         params = IqpParams(0.5, 16)
         X, X2 = rng.normal(size=(16, 29)), rng.normal(size=(16, 20))
@@ -438,6 +457,15 @@ class TestGramMatrix:
                 assert cg[i, j] == pytest.approx(
                     kernel(X[:, i], X2[:, j], params), abs=1e-12
                 )
+
+    def test_cross_gram_makes_one_workspace_for_its_queries(self, monkeypatch):
+        # one for the training design, one for every query chunk (8 + 8 + 1)
+        made = []
+        workspace = qkernel._workspace
+        monkeypatch.setattr(qkernel, "_workspace", lambda n, c: made.append(c) or workspace(n, c))
+        X, X2 = np.random.default_rng(15).normal(size=(2, 16, 17))
+        qkernel.cross_gram(X[:, :2], X2, IqpParams(0.5, 16))
+        assert made == [2, 8]
 
     def test_cross_gram_chunked(self):
         # one reference state against query chunks of 8 + 9 columns
