@@ -40,12 +40,13 @@ def test_profile_times_every_stage_per_call():
     assert all(min(r["times"]) > 0 for r in rows if (r["qubits"], r["stage"]) != (3, "prepare"))
 
 
-@pytest.mark.parametrize("n", [5, 12, 14, 16])
+@pytest.mark.parametrize("n", [5, 12, 14, 16, 17])
 def test_timed_steps_give_the_embedding(n):
     # the tool times _embed's steps one by one; a change to them must show
     # here, not go on being timed in its old form.  Past 5 qubits the
     # designs span several blocks (44 windows in blocks of 8 at 12 qubits,
-    # 35 in blocks of 2 at 14, 29 of one window at 16).
+    # 35 in blocks of 2 at 14, 29 of one window at 16); 17 qubits, one
+    # window, takes the transform's chunked path.
     X = embed_profile.call_windows(n)
     states, _ = embed_profile.time_call(X)
     assert np.array_equal(states, qkernel._embed(X, embed_profile.ALPHA))

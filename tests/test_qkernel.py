@@ -155,6 +155,9 @@ class TestBlockPath:
             (14, 5),
             # ... for three one-window blocks
             (16, 3),
+            # transform by chunks, top groups 1 and 3
+            (15, 2),
+            (17, 2),
         ],
     )
     def test_columns_bit_equal_to_single_column_calls(self, n, c):
@@ -165,10 +168,12 @@ class TestBlockPath:
         for j in range(c):
             assert np.array_equal(states[j], embed(X[:, j], params))
 
-    @pytest.mark.parametrize("n", range(1, 17))
+    @pytest.mark.parametrize("n", range(1, 19))
     def test_transform_matches_axis_by_axis_reference(self, n):
         # every group split, from a lone remainder up to four groups of
-        # four, scaled by 2^-n; src is left unchanged
+        # four, scaled by 2^-n; from 15 qubits the low 14 bits by chunks (2
+        # chunks and a 1-bit top group at 15, 4 at 16, 16 and a 4-bit top
+        # group at 18); src is left unchanged
         rng = np.random.default_rng(n)
         rows = 3
         src = rng.normal(size=(rows, 2**n)) + 1j * rng.normal(size=(rows, 2**n))
@@ -185,7 +190,7 @@ class TestBlockPath:
             pytest.skip("the OpenBLAS thread setters are not available")
         rng = np.random.default_rng(24)
         try:
-            for n in (1, 5, 8, 10, 11, 12, 13, 16):
+            for n in (1, 5, 8, 10, 11, 12, 13, 15, 16, 17):
                 X = rng.normal(size=(n, 3))
                 params = IqpParams(0.63, n)
                 blas.set_threads(1)
@@ -289,12 +294,13 @@ class TestBlockPath:
                 tracemalloc.stop()
             assert peak <= bound * states * state_bytes, (call.__name__, states)
 
-    @pytest.mark.parametrize("n", [1, 5, 10, 16])
+    @pytest.mark.parametrize("n", [1, 5, 10, 15, 16, 18])
     def test_transform_allocates_no_block(self, n):
         # The stacked products write into out and scratch.  A product that
         # copied an operand would allocate a block; the embedding's peak
         # above shows that only at full blocks of 5 qubits, and this bounds
-        # the transform alone at every block size.
+        # the transform alone at every block size.  From 15 qubits a copy of
+        # one 2^14-amplitude chunk, 25 % of a 16-qubit row, shows too.
         rows = max(1, qkernel._BLOCK_AMPLITUDES // 2**n)
         src = np.ones((rows, 2**n), dtype=complex)
         out, scratch = np.empty_like(src), np.empty_like(src)
