@@ -2,9 +2,8 @@
 
 Subcommands: generate, tune, predict, compare, landscape, ablate.  Exit
 code 0 on success, else the ``exit_code`` of the package error raised
-(see :mod:`quack.errors`).  Every run pins numpy's and scipy's OpenBLAS to
-one thread (:mod:`quack.blas`) and says so on standard error when it
-cannot.
+(see :mod:`quack.errors`).  Every run pins numpy's OpenBLAS to one
+thread (:mod:`quack.blas`); a numpy without it exits with code 2.
 """
 
 from __future__ import annotations
@@ -94,11 +93,8 @@ def _tuned_theta(path: Path, cfg) -> dict:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    unpinned = [pool for pool, count in blas.set_threads(1).items() if count is None]
-    if unpinned:
-        print(f"warning: cannot set the BLAS thread count of {', '.join(unpinned)}",
-              file=sys.stderr)
     try:
+        blas.set_threads(1)
         cfg = load_config(args.config)
         if args.seed_data is not None:
             cfg.gen.seed = args.seed_data

@@ -1,8 +1,8 @@
 """Exception hierarchy shared across the package.
 
 Each class carries the process exit code the CLI returns for it:
-configuration problems exit with 2, data problems with 3, numerical
-failures with 4.
+configuration and installation problems exit with 2, data problems with
+3, numerical failures with 4.
 """
 
 
@@ -26,6 +26,10 @@ class ResourceError(QuackError, RuntimeError):
 
 class ConfigError(QuackError, ValueError):
     """Invalid experiment configuration."""
+
+
+class LibraryError(QuackError, RuntimeError):
+    """numpy's bundled OpenBLAS, or a routine quack calls in it, cannot be found."""
 
 
 class DataError(QuackError, ValueError):

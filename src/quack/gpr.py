@@ -28,9 +28,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_solve, cholesky, solve_triangular
 
-from . import kernels
+from . import blas, kernels
 from .errors import InputError, NumericalError, ParameterError
 
 JITTER_LADDER = (1e-10, 1e-8, 1e-6, 1e-4)
@@ -134,11 +133,9 @@ def factor_and_solve(
         np.fill_diagonal(regularized, noisy_diag + jitter)
         if not np.isfinite(regularized).all():
             raise ValueError("array must not contain infs or NaNs")
-        try:
-            chol = cholesky(regularized, lower=True, overwrite_a=True, check_finite=False)
-        except LinAlgError:
-            continue
-        return chol, jitter, cho_solve((chol, True), resid)
+        if blas.cholesky(regularized):
+            solve = blas.solve_lower(regularized, np.array(resid, dtype=float))
+            return regularized, jitter, blas.solve_lower(regularized, solve, transpose=True)
     noisy = gram + noise_var * np.eye(c)
     eigs = np.linalg.eigvalsh((noisy + noisy.T) / 2.0)
     raise NumericalError(
@@ -171,7 +168,7 @@ def predict_batch(model: FittedGpr, X_query) -> tuple[np.ndarray, np.ndarray]:
         )
     kmat = kernels.cross(model.hp.kernel, model.X, X_query)
     means = model.hp.mean_const + kmat.T @ model.solve_cache
-    half = solve_triangular(model.chol, kmat, lower=True)
+    half = blas.solve_lower(model.chol, np.array(kmat, order="F"))
     variances = 1.0 - np.sum(half * half, axis=0)
     variances[variances < 0.0] = 0.0
     return means, variances

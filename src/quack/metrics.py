@@ -18,13 +18,13 @@ from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import InputError
 
 _DENOM_EPS = 1e-12
 _INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_SQRT_HALF = math.sqrt(0.5)
 
 
 @dataclass
@@ -118,7 +118,8 @@ def crps_normal(mean: float, sd: float, target: float) -> float:
         return abs(target - mean)
     w = (target - mean) / sd
     phi = _INV_SQRT_2PI * math.exp(-0.5 * w * w)
-    return sd * (w * (2.0 * float(ndtr(w)) - 1.0) + 2.0 * phi - _INV_SQRT_PI)
+    # 2 Phi(w) - 1 = erf(w / sqrt 2)
+    return sd * (w * math.erf(w * _SQRT_HALF) + 2.0 * phi - _INV_SQRT_PI)
 
 
 def mean_crps(means, sds, targets) -> float:

@@ -69,9 +69,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import hadamard
-from scipy.linalg.blas import zherk
 
+from . import blas
 from .errors import InputError, ResourceError
 
 # Most qubits a window may have: a state of 2^24 complex amplitudes is 256 MB.
@@ -87,10 +86,22 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _scaled_hadamards(count: int) -> tuple[np.ndarray, ...]:
+    """The Hadamard matrices of 1, 2, 4, ... rows, index g scaled by 2^-g.
+
+    Sylvester doubling of the scaled matrices: entries +-2^-g, exact.
+    """
+    matrices = [np.ones((1, 1))]
+    for _ in range(1, count):
+        h = matrices[-1] / 2.0
+        matrices.append(np.block([[h, h], [h, -h]]))
+    return tuple(_read_only(h) for h in matrices)
+
+
 # The Hadamard matrices H_1, H_2, ..., H_16 (index g is 2^g x 2^g) scaled by
 # 2^-g, so a transform of n qubits carries the exact 2^-n of both Hadamard
 # layers, and each as kron(H, I_2), for the float view of a block.
-_HADAMARD = tuple(_read_only(hadamard(2**g, dtype=float) * 2.0**-g) for g in range(5))
+_HADAMARD = _scaled_hadamards(5)
 _HADAMARD_PAIRS = tuple(_read_only(np.kron(h, np.eye(2))) for h in _HADAMARD)
 
 # Phase factors (see _phase_factors): up to _DIRECT_QUBITS qubits are
@@ -449,9 +460,7 @@ def gram_matrix(X, params: IqpParams) -> np.ndarray:
     c = emb.shape[0]
     if c == 0:
         return np.empty((0, 0))
-    # emb.T is the Fortran-ordered (2^n, c) view BLAS takes without a copy;
-    # trans=2 forms its conjugate transpose times itself, the bra-ket overlaps.
-    overlaps = zherk(1.0, emb.T, trans=2)
+    overlaps = blas.upper_overlaps(emb)
     # Column j of the Fortran-ordered product is floats [2cj, 2cj + 2c) of
     # its buffer, and its |.|^2 goes to floats [cj, cj + c).  For the block
     # of columns j..2j-1 that is [cj, 2cj): clear of the block's own floats

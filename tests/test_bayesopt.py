@@ -204,6 +204,37 @@ class TestLogEi:
         assert int(np.argmax(eis)) == int(np.argmax(logs))
 
 
+class TestErfcx:
+    """The erfcx behind log EI, and log h from it, against mpmath at 50 digits."""
+
+    def test_matches_extended_precision(self):
+        mpmath = pytest.importorskip("mpmath")
+        # Cody's range edges, and the arguments at _log_h's switches at
+        # delta = -1 and -30
+        edges = np.array([0.46875, 4.0, 1.0 / math.sqrt(2.0), 30.0 / math.sqrt(2.0)])
+        y = np.concatenate([np.linspace(0.0, 30.0, 1201), edges])
+        y = np.unique(np.concatenate([y, np.nextafter(y, np.inf), np.nextafter(y, -np.inf)]))
+        y = y[y >= 0.0]
+        with mpmath.workdps(50):
+            ref = np.array([float(mpmath.erfc(v) * mpmath.exp(v * v)) for v in map(mpmath.mpf, y)])
+        rel = np.abs(bayesopt._erfcx(y) - ref) / ref
+        assert rel.max() <= 1e-14, y[np.argmax(rel)]
+
+    def test_log_h_matches_extended_precision_across_the_switches(self):
+        mpmath = pytest.importorskip("mpmath")
+        switches = np.array([-30.0, -1.0, -0.46875 * math.sqrt(2.0), 0.0])
+        delta = np.concatenate([np.linspace(-30.0, 40.0, 1401), switches])
+        delta = np.unique(np.concatenate([delta, np.nextafter(delta, np.inf)]))
+        with mpmath.workdps(50):
+            ref = np.array([
+                float(mpmath.log(d * mpmath.ncdf(d) + mpmath.npdf(d)))
+                for d in map(mpmath.mpf, delta)
+            ])
+        # relative, and absolute where log h crosses 0
+        err = np.abs(bayesopt._log_h(delta) - ref) / np.maximum(np.abs(ref), 1.0)
+        assert err.max() <= 1e-14, delta[np.argmax(err)]
+
+
 def _quadratic_trials(space, n=40, seed=0):
     rng = np.random.default_rng(seed)
     thetas = rng.uniform(space.lower, space.upper, size=(n, space.dim))

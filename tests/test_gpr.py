@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import LinAlgError, cho_solve, cholesky
+from scipy.linalg import cho_solve
 
 import oracles
 from quack import gpr, kernels
@@ -243,13 +243,17 @@ def _random_gram(c, seed=0):
 
 
 def _ladder_by_formula(gram, noise_var, resid, first_rung=0):
-    """The jitter ladder as gram + noise I + jitter I, one fresh sum per rung."""
+    """The jitter ladder as gram + noise I + jitter I, one fresh sum per rung.
+
+    numpy's Cholesky runs the same LAPACK library as quack's; scipy bundles
+    another OpenBLAS build, whose factors may differ in the last bits.
+    """
     c = resid.shape[0]
     noisy = gram + noise_var * np.eye(c)
     for jitter in gpr.JITTER_LADDER[first_rung:]:
         try:
-            chol = cholesky(noisy + jitter * np.eye(c), lower=True)
-        except LinAlgError:
+            chol = np.linalg.cholesky(noisy + jitter * np.eye(c))
+        except np.linalg.LinAlgError:
             continue
         return chol, jitter, cho_solve((chol, True), resid)
     raise AssertionError("no rung factored")
