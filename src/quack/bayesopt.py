@@ -17,10 +17,14 @@ fresh factorizations; a score needs only L^-1 z and the diagonal of L^-1.
 The winner's L^-1 and solve are the surrogate, and the acquisition reads
 its posterior from them directly.
 
-Each proposal screens 1023 scrambled Sobol points with one vectorized
-log-EI call, as BoTorch's ``optimize_acqf`` screens raw samples (Balandat
-et al., NeurIPS 2020), then zooms in on the best ``restarts`` of them:
-the same points, shrunk into a small box around each, are scored again.
+Each proposal searches coarse to fine.  It screens 255 scrambled Sobol
+points with one vectorized log-EI call, as BoTorch's ``optimize_acqf``
+screens raw samples (Balandat et al., NeurIPS 2020).  Then, around each
+of the best ``restarts`` of them, it zooms in two levels, each shrinking
+the box around the previous level's best point, as DIRECT refines its
+best cells (Jones, Perttunen & Stuckman, JOTA 79, 1993): the same points,
+mapped into the smaller box, are scored again.  The level count is fixed,
+not a setting.
 
 Sobol points (d <= 4) come from the Joe & Kuo (2008) direction numbers
 and Matousek's (1998) linear matrix scramble with a digital shift; they
@@ -28,8 +32,9 @@ equal scipy's ``qmc.Sobol`` points bit for bit without importing
 ``scipy.stats``, which would double every process's start-up time.
 
 The tune loop is inherently sequential; each proposal depends on all
-prior results.  Sobol-phase evaluations and zooms are independent and
-reduce by ordered argmax, so results do not depend on evaluation order.
+prior results.  Sobol-phase evaluations and the restarts' zoom chains
+are independent and reduce by ordered argmax, so results do not depend
+on evaluation order; a chain's levels run in turn.
 """
 
 from __future__ import annotations
@@ -88,8 +93,10 @@ _SURROGATE_NOISE_BOUNDS = (1e-6, 1e-1)
 # fraction of its exact lower bound, noise_var + jitter.
 _PIVOT_FLOOR = 0.5
 
-# Scrambled Sobol points scored per proposal by the screen and by each zoom.
-_SCREEN_SIZE = 1023
+# Scrambled Sobol points scored per proposal by the screen and by each zoom
+# level, and the zoom levels per restart; fixed, not configurable.
+_SCREEN_SIZE = 255
+_ZOOM_LEVELS = 2
 
 _SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 _SQRT_HALF = math.sqrt(0.5)
@@ -505,14 +512,19 @@ def propose_next(
 ) -> np.ndarray:
     """Maximize log expected improvement over the box, gradient-free.
 
-    Scores ``_SCREEN_SIZE`` scrambled Sobol points with one vectorized
-    log-EI call.  Then, for each of the best ``restarts`` of them in rank
-    order (ties to the earlier point), maps the same points into the box
-    of half-width r = ``_SCREEN_SIZE`` ** (-1 / d) around it, clipped to
-    the unit cube, and scores them with one more call.  r is about the
-    screen's spacing, so a zoom resolves the cell around its centre.  The
-    best point seen wins, ties to the first in screen-then-zoom order, so
-    a fixed seed yields a fixed proposal.
+    Coarse to fine: a raw-sample screen, as in BoTorch (Balandat et al.,
+    NeurIPS 2020), then successive zooms, as in DIRECT (Jones, Perttunen
+    & Stuckman, 1993).  Scores ``_SCREEN_SIZE`` scrambled Sobol points
+    with one vectorized log-EI call.  Then, for each of the best
+    ``restarts`` of them in rank order (ties to the earlier point), runs
+    ``_ZOOM_LEVELS`` levels: level k maps the same points into the box of
+    half-width r^k around the previous level's best point (the screened
+    point for level 1), clipped to the unit cube, and scores them with one
+    more call.  r = ``_SCREEN_SIZE`` ** (-1 / d) is about the screen's
+    spacing, so each level resolves the cell around its centre.  The
+    level count is fixed, not a knob.  The best point seen wins, ties to
+    the first in screen, restart, level order, so a fixed seed yields a
+    fixed proposal.
     """
     incumbent_std = surrogate.standardize_value(incumbent)
     screen = _sobol_unit(space.dim, _SCREEN_SIZE, seed=seed, scramble=True)
@@ -521,12 +533,16 @@ def propose_next(
     best_u, best_value = screen[best], screened[best]
     radius = _SCREEN_SIZE ** (-1.0 / space.dim)
     for centre in screen[np.argsort(-screened, kind="stable")[:restarts]]:
-        lower, upper = np.maximum(centre - radius, 0.0), np.minimum(centre + radius, 1.0)
-        zoom = lower + screen * (upper - lower)
-        zoomed = log_ei(*surrogate.posterior_unit(zoom), incumbent_std)
-        best = int(np.argmax(zoomed))
-        if zoomed[best] > best_value:
-            best_u, best_value = zoom[best], zoomed[best]
+        for level in range(1, _ZOOM_LEVELS + 1):
+            half_width = radius**level
+            lower = np.maximum(centre - half_width, 0.0)
+            upper = np.minimum(centre + half_width, 1.0)
+            zoom = lower + screen * (upper - lower)
+            zoomed = log_ei(*surrogate.posterior_unit(zoom), incumbent_std)
+            best = int(np.argmax(zoomed))
+            if zoomed[best] > best_value:
+                best_u, best_value = zoom[best], zoomed[best]
+            centre = zoom[best]
     return space.from_unit(best_u)
 
 
@@ -547,11 +563,12 @@ def tune(
 
     The objective is called exactly n0 + n_query times.  The surrogate
     grid's inverse factors are kept across steps, so each step appends
-    one row per grid point.  ``restarts`` is the number of zooms per
-    proposal (see :func:`propose_next`).  ``on_trial(phase, theta, value)``, when
-    given, is called after each evaluation, so a caller can stream the
-    trials.  An exception inside the objective aborts the run; the
-    trials completed before it have already been passed to ``on_trial``.
+    one row per grid point.  ``restarts`` is the number of screened points
+    each proposal zooms in on (see :func:`propose_next`).
+    ``on_trial(phase, theta, value)``, when given, is called after each
+    evaluation, so a caller can stream the trials.  An exception inside
+    the objective aborts the run; the trials completed before it have
+    already been passed to ``on_trial``.
 
     Returns the trace with the incumbent (argmax) and the work counts.
     Raises ``ResourceError`` when the budget's factor store, about

@@ -164,7 +164,8 @@ def run_predict(
     model = gpr.fit(train.X, train.y, hp)
     means, var_latent = gpr.predict_batch(model, test.X)
     seconds = time.perf_counter() - started
-    var_predictive = var_latent + hp.noise_var
+    # the noise the fit factored, so a clamped latent variance stays positive
+    var_predictive = var_latent + (hp.noise_var + model.jitter)
     evaluation = metrics.evaluate_forecast(means, var_predictive, test.y)
     out_dir.mkdir(parents=True, exist_ok=True)
     half = Z95 * np.sqrt(var_predictive)

@@ -445,8 +445,9 @@ class TestProposeNext:
         radius = bayesopt._SCREEN_SIZE ** (-1 / 3)
         assert np.all(np.abs(UNIT3.to_unit(proposal) - top) <= radius * (1.0 + 1e-12))
 
-    def test_one_zoom_per_restart(self, monkeypatch):
-        # restarts counts the zooms; each scores as many points as the screen
+    def test_zoom_levels_per_restart(self, monkeypatch):
+        # restarts counts the screened points zoomed in on, each through
+        # every level; each call scores as many points as the screen
         sizes = []
         real_posterior = bayesopt.Surrogate.posterior_unit
 
@@ -459,7 +460,39 @@ class TestProposeNext:
         for restarts in (1, 2, 5):
             sizes.clear()
             propose_next(_SURROGATE, UNIT3, incumbent, restarts=restarts, seed=2)
-            assert sizes == [bayesopt._SCREEN_SIZE] * (1 + restarts)
+            assert sizes == [bayesopt._SCREEN_SIZE] * (1 + restarts * bayesopt._ZOOM_LEVELS)
+
+    @pytest.mark.parametrize("seed", [2, 4, 7])
+    def test_each_level_stays_in_its_box(self, monkeypatch, seed):
+        # Level k lies in the unit cube within r^k of the previous level's
+        # best point (the k-th screened point for level 1), and the
+        # proposal is the best point of every scored batch.
+        batches = []
+        real_posterior = bayesopt.Surrogate.posterior_unit
+
+        def recording_posterior(surrogate, unit_points):
+            mean, sd = real_posterior(surrogate, unit_points)
+            batches.append((unit_points.copy(), log_ei(mean, sd, incumbent_std)))
+            return mean, sd
+
+        monkeypatch.setattr(bayesopt.Surrogate, "posterior_unit", recording_posterior)
+        incumbent = max(t.value for t in _TRIALS)
+        incumbent_std = _SURROGATE.standardize_value(incumbent)
+        restarts, levels = 3, bayesopt._ZOOM_LEVELS
+        proposal = UNIT3.to_unit(propose_next(_SURROGATE, UNIT3, incumbent, restarts, seed))
+        assert len(batches) == 1 + restarts * levels
+        (screen, screened), zooms = batches[0], batches[1:]
+        radius = bayesopt._SCREEN_SIZE ** (-1 / 3)
+        for rank, top in enumerate(np.argsort(-screened, kind="stable")[:restarts]):
+            centre = screen[top]
+            for level in range(1, levels + 1):
+                points, scores = zooms[rank * levels + level - 1]
+                assert np.all(points >= 0.0) and np.all(points <= 1.0)
+                assert np.all(np.abs(points - centre) <= radius**level * (1.0 + 1e-12))
+                centre = points[int(np.argmax(scores))]
+        best = max(scores.max() for _, scores in batches)
+        assert _log_ei_at(_SURROGATE, proposal, incumbent_std) >= best - 1e-9 * abs(best)
+        assert any(np.any(np.all(points == proposal, axis=1)) for points, _ in batches)
 
     def test_all_equal_values_fit_like_any_other(self):
         # No spread: unit scale and z = 0, so the posterior mean is zero

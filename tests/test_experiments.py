@@ -67,6 +67,35 @@ class TestRunTune:
             assert re.fullmatch(r"\d+\.\d{6}", fields[5])
 
 
+class TestRunPredict:
+    @pytest.mark.parametrize("clamped", [False, True])
+    def test_zero_noise_at_a_training_window(self, tmp_path, monkeypatch, clamped):
+        # Period 4 against the training stride 3: every test window is a
+        # training window.  At noise_var = 0 the latent variance there is
+        # about jitter / 4, or exactly 0 where predict_batch clamps it; the
+        # predictive variance adds the noise the fit factored.
+        values = np.tile([0.5, -1.0, 1.5, 0.25], 15)
+        series = timeseries.Series(values=values)
+        cfg = _cfg(kernel="rbf")
+        train, test = timeseries.split(series, cfg.window, cfg.train_frac, cfg.train_overlap)
+        assert all(np.any(np.all(train.X == x[:, None], axis=0)) for x in test.X.T)
+        if clamped:
+            predict_batch = gpr.predict_batch
+
+            def clamping_predict_batch(model, X):
+                means, _ = predict_batch(model, X)
+                return means, np.zeros_like(means)
+
+            monkeypatch.setattr(gpr, "predict_batch", clamping_predict_batch)
+        theta = {"l_r": 1.0, "noise_var": 0.0, "mean_const": 0.0}
+        evaluation = experiments.run_predict(cfg, theta, series, tmp_path)
+        assert np.isfinite(evaluation.ll_total)
+        with open(tmp_path / "predictions.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == test.X.shape[1]
+        assert all(float(row["var_predictive"]) >= gpr.JITTER_LADDER[0] for row in rows)
+
+
 class TestRunGenerate:
     def test_series_round_trips_bit_exactly(self, tmp_path):
         cfg = _cfg(gen=timeseries.GenSpec(seed=3))

@@ -64,9 +64,10 @@ def test_tracer_counts_posterior_points_per_proposal():
         tracer.uninstall()
     assert tracer.restored()
     assert tracer.spans["bayesopt.propose_next"][0] == 3
-    # per proposal, the screen and restarts = 2 zooms
-    assert tracer.spans["bayesopt.posterior"][0] == 3 * (1 + 2)
-    assert tracer.counts["bayesopt.posterior.points"] == 3 * 1023 * (1 + 2)
+    # per proposal, the screen and every zoom level of restarts = 2
+    calls = 1 + 2 * bayesopt._ZOOM_LEVELS
+    assert tracer.spans["bayesopt.posterior"][0] == 3 * calls
+    assert tracer.counts["bayesopt.posterior.points"] == 3 * bayesopt._SCREEN_SIZE * calls
 
 
 def test_tracer_sees_iqp_prediction():
