@@ -13,7 +13,7 @@ regenerates that file, and says why, with::
     OPENBLAS_NUM_THREADS=1 python3 tests/test_acceptance.py
 """
 
-import dataclasses
+import importlib.util
 import json
 import math
 import statistics
@@ -35,6 +35,12 @@ from quack import cli, experiments, gpr, kernels, metrics, qkernel, timeseries
 from quack.bayesopt import SearchSpace, sobol_init, tune
 from quack.config import load_config
 from quack.qkernel import IqpParams
+
+_SPEC = importlib.util.spec_from_file_location(
+    "tuner_record", Path(__file__).resolve().parents[1] / "tools" / "tuner_record.py"
+)
+tuner_record = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(tuner_record)
 
 
 def _passed(num, name):
@@ -184,25 +190,18 @@ COMPARISON_SEEDS = range(5)
 
 
 def _comparison_runs() -> dict:
-    """data seed -> kind -> (TuneResult, Evaluation) at the default config.
+    """data seed -> kind -> (TuneResult, Evaluation) at the default config,
+    as ``tools/tuner_record.py`` tunes them.
 
     The run files go to a temporary directory that is removed afterwards.
     """
-    runs = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for seed in COMPARISON_SEEDS:
-            cfg = load_config(env={})
-            cfg.gen.seed = seed
-            series = experiments.build_series(cfg)
-            per_kind = {}
-            for kind in COMPARISON_KINDS:
-                kind_cfg = dataclasses.replace(cfg, kernel=kind)
-                run_dir = Path(tmp) / f"seed_{seed}" / kind
-                tuned = experiments.run_tune(kind_cfg, series, run_dir)
-                assert len(tuned.trace.trials) == 50  # n0 + n_query objective calls
-                evaluation = experiments.run_predict(kind_cfg, tuned.theta, series, run_dir)
-                per_kind[kind] = (tuned, evaluation)
-            runs[seed] = per_kind
+        runs = tuner_record.comparison_runs(
+            COMPARISON_SEEDS, COMPARISON_KINDS, Path(tmp), predict=True
+        )
+    for per_kind in runs.values():
+        for tuned, _ in per_kind.values():
+            assert len(tuned.trace.trials) == 50  # n0 + n_query objective calls
     return runs
 
 
@@ -254,24 +253,13 @@ def test_criterion_6c_tuned_alpha_interior(comparison_runs):
 TUNER_RECORD = Path(__file__).parent / "golden" / "tuner.json"
 
 
-def _incumbents(runs: dict) -> dict[str, list[float]]:
-    """kind -> tuned incumbent MLL per data seed."""
-    return {
-        kind: [runs[seed][kind][0].incumbent_value for seed in COMPARISON_SEEDS]
-        for kind in COMPARISON_KINDS
-    }
-
-
 def test_tuner_quality_against_record(comparison_runs):
     # The tuner may move incumbents either way, but not lose on balance:
     # the median change stays above -0.05 nats and no entry drops by 1.5.
     recorded = json.loads(TUNER_RECORD.read_text())
-    got = _incumbents(comparison_runs)
-    changes = [
-        new - old
-        for kind in COMPARISON_KINDS
-        for new, old in zip(got[kind], recorded[kind], strict=True)
-    ]
+    got = {"seeds": list(COMPARISON_SEEDS), **tuner_record.incumbents(comparison_runs)}
+    changes = [change for change, _, _ in tuner_record.changes(got, recorded)]
+    assert len(changes) == len(COMPARISON_SEEDS) * len(COMPARISON_KINDS)
     assert statistics.median(changes) >= -0.05, f"incumbent changes {changes}"
     assert min(changes) >= -1.5, f"incumbent changes {changes}"
     _passed("tuner", "incumbents against the recorded tuner table")
@@ -366,5 +354,6 @@ def test_criterion_10_performance_floor():
 
 if __name__ == "__main__":
     TUNER_RECORD.parent.mkdir(exist_ok=True)
-    TUNER_RECORD.write_text(json.dumps(_incumbents(_comparison_runs()), indent=1) + "\n")
+    record = tuner_record.incumbents(_comparison_runs())
+    TUNER_RECORD.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {TUNER_RECORD}")

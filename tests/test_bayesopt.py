@@ -438,12 +438,28 @@ class TestProposeNext:
         assert _log_ei_at(_SURROGATE, UNIT3.to_unit(proposal), incumbent_std) > reference.max()
 
     def test_single_zoom_stays_within_r_of_top_point(self):
+        # One restart: level k lies within r^k of the previous level's best
+        # point, so the proposal lies within r + r^2 + ... of the top
+        # screened point (test_each_level_stays_in_its_box checks each box).
         incumbent = max(t.value for t in _TRIALS)
         proposal = propose_next(_SURROGATE, UNIT3, incumbent, restarts=1, seed=4)
         screen, reference = _screen_reference(_SURROGATE, incumbent, seed=4)
         top = screen[int(np.argmax(reference))]
         radius = bayesopt._SCREEN_SIZE ** (-1 / 3)
-        assert np.all(np.abs(UNIT3.to_unit(proposal) - top) <= radius * (1.0 + 1e-12))
+        reach = sum(radius**level for level in range(1, bayesopt._ZOOM_LEVELS + 1))
+        assert np.all(np.abs(UNIT3.to_unit(proposal) - top) <= reach * (1.0 + 1e-12))
+
+    def test_ties_go_to_the_first_screened_point(self, monkeypatch):
+        # Log EI at the floor everywhere, as where EI is exactly zero: every
+        # zoom level ties with the screen, so the first screened point wins
+        # (screen, restart, level order).
+        monkeypatch.setattr(
+            bayesopt, "log_ei", lambda mean, sd, incumbent: np.full(np.shape(mean), LOG_EI_FLOOR)
+        )
+        incumbent = max(t.value for t in _TRIALS)
+        proposal = propose_next(_SURROGATE, UNIT3, incumbent, restarts=2, seed=2)
+        screen = bayesopt._sobol_unit(3, bayesopt._SCREEN_SIZE, seed=2, scramble=True)
+        assert np.array_equal(UNIT3.to_unit(proposal), screen[0])
 
     def test_zoom_levels_per_restart(self, monkeypatch):
         # restarts counts the screened points zoomed in on, each through

@@ -2,23 +2,23 @@
 """Tuned incumbents of the comparison tunes, and their changes against a record.
 
 Usage:
-    python3 tools/tuner_record.py [--seeds 0,1,2,3,4] [--n0 N] [--n-query N]
-        [--against RECORD]
+    python3 tools/tuner_record.py [--seeds 0,1,2,3,4] [--against RECORD]
 
-For each data seed and each comparison kind (iqp, rbf, matern) the tool
-runs ``experiments.run_tune`` at the default config with that data seed,
-as the acceptance suite's comparison runs do, at one OpenBLAS thread.  It
-prints the incumbent MLLs as one JSON object: ``"seeds"``, then kind ->
-incumbent per seed.  ``--n0`` and ``--n-query`` change the tuning budget
-(for a quick run).
+For each data seed and each kernel kind (iqp, rbf, matern, rq, periodic,
+as ``compare`` tunes them) the tool runs ``experiments.run_tune`` at the
+default config with that data seed, at one OpenBLAS thread.  It prints
+the incumbent MLLs as one JSON object: ``"seeds"``, then kind ->
+incumbent per seed.  The acceptance suite's comparison runs and its
+tuner record (``tests/golden/tuner.json``) use the same functions.
 
 ``--against`` reads a record of the same form, such as
 ``tests/golden/tuner.json`` (which has no ``"seeds"``: its lists are data
-seeds 0, 1, ...), or the saved output of an earlier run of this tool,
-e.g. in a checkout of the parent commit (a summary line after its JSON
-is ignored).  It then prints one more line: the median, min and max of
-the changes (new - recorded) over every seed and kind, the min and max
-with their kind and seed.  Standard library and quack only.
+seeds 0, 1, ..., and it holds iqp, rbf and matern only), or the saved
+output of an earlier run of this tool, e.g. in a checkout of the parent
+commit (a summary line after its JSON is ignored).  It then prints one
+more line: the median, min and max of the changes (new - recorded) over
+every seed and every kind of that record, the min and max with their kind
+and seed.  Standard library and quack only.
 """
 
 from __future__ import annotations
@@ -33,39 +33,56 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from quack import blas, experiments  # noqa: E402
+from quack import blas, experiments, kernels  # noqa: E402
 from quack.config import load_config  # noqa: E402
 
-KINDS = ("iqp", "rbf", "matern")
+
+def comparison_runs(seeds, kinds, root: Path, predict: bool = False, **budget: int) -> dict:
+    """data seed -> kind -> (TuneResult, Evaluation or None) at the default config.
+
+    Each seed's series comes from the default config with that data seed;
+    each kind is tuned on it (and, with ``predict``, forecast) with its run
+    files under ``root / seed_<seed> / <kind>``.  ``budget`` may set the
+    config's ``n0`` and ``n_query``.
+    """
+    runs = {}
+    for seed in seeds:
+        cfg = dataclasses.replace(load_config(env={}), **budget)
+        cfg.gen.seed = seed
+        series = experiments.build_series(cfg)
+        runs[seed] = {}
+        for kind in kinds:
+            kind_cfg = dataclasses.replace(cfg, kernel=kind)
+            run_dir = root / f"seed_{seed}" / kind
+            tuned = experiments.run_tune(kind_cfg, series, run_dir)
+            evaluation = (
+                experiments.run_predict(kind_cfg, tuned.theta, series, run_dir) if predict else None
+            )
+            runs[seed][kind] = (tuned, evaluation)
+    return runs
 
 
-def incumbents(seeds: list[int], **budget: int) -> dict:
-    """``{"seeds": seeds, kind: [incumbent MLL per seed], ...}``; ``budget``
-    may set the config's ``n0`` and ``n_query``."""
-    record: dict = {"seeds": list(seeds), **{kind: [] for kind in KINDS}}
-    with tempfile.TemporaryDirectory() as tmp:
-        for seed in seeds:
-            cfg = dataclasses.replace(load_config(env={}), **budget)
-            cfg.gen.seed = seed
-            series = experiments.build_series(cfg)
-            for kind in KINDS:
-                run_dir = Path(tmp) / f"seed_{seed}" / kind
-                tuned = experiments.run_tune(dataclasses.replace(cfg, kernel=kind), series, run_dir)
-                record[kind].append(tuned.incumbent_value)
-    return record
+def incumbents(runs: dict) -> dict[str, list[float]]:
+    """kind -> tuned incumbent MLL per data seed, in the seed order of ``runs``."""
+    kinds = next(iter(runs.values()))
+    return {
+        kind: [per_kind[kind][0].incumbent_value for per_kind in runs.values()] for kind in kinds
+    }
 
 
 def changes(record: dict, recorded: dict) -> list[tuple[float, str, int]]:
-    """(new - recorded, kind, seed) for every seed and kind of ``record``.
+    """(new - recorded, kind, seed) for every seed of ``record`` and kind of ``recorded``.
 
     ``recorded`` without ``"seeds"`` holds data seeds 0, 1, ... in order.
-    Raises ``ValueError`` when it lacks a seed or kind of ``record``.
+    Raises ``ValueError`` when ``record`` lacks a kind of ``recorded``, or
+    ``recorded`` a seed of ``record``.
     """
     out = []
-    for kind in KINDS:
-        old = recorded.get(kind)
-        if old is None:
-            raise ValueError(f"the record has no kind {kind!r}")
+    for kind, old in recorded.items():
+        if kind == "seeds":
+            continue
+        if kind not in record:
+            raise ValueError(f"the new record has no kind {kind!r}")
         old_by_seed = dict(zip(recorded.get("seeds", range(len(old))), old, strict=True))
         for seed, new in zip(record["seeds"], record[kind], strict=True):
             if seed not in old_by_seed:
@@ -84,21 +101,25 @@ def summary(diffs: list[tuple[float, str, int]]) -> str:
     )
 
 
+def read_record(path: Path) -> dict:
+    """The JSON object at the start of ``path``; any text after it is ignored."""
+    record, _ = json.JSONDecoder().raw_decode(path.read_text())
+    return record
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", default="0,1,2,3,4", help="comma-separated data seeds")
-    parser.add_argument("--n0", type=int, help="Sobol trials per tune (default: config)")
-    parser.add_argument("--n-query", type=int, help="BO steps per tune (default: config)")
     parser.add_argument("--against", type=Path, help="a record to compare with")
     args = parser.parse_args(argv)
     seeds = [int(s) for s in args.seeds.split(",")]
     blas.set_threads(1)
-    budget = {"n0": args.n0, "n_query": args.n_query}
-    record = incumbents(seeds, **{key: n for key, n in budget.items() if n is not None})
+    with tempfile.TemporaryDirectory() as tmp:
+        runs = comparison_runs(seeds, kernels.KERNEL_KINDS, Path(tmp))
+    record = {"seeds": seeds, **incumbents(runs)}
     print(json.dumps(record, indent=1))
     if args.against is not None:
-        recorded, _ = json.JSONDecoder().raw_decode(args.against.read_text())
-        print(summary(changes(record, recorded)))
+        print(summary(changes(record, read_record(args.against))))
     return 0
 
 
