@@ -372,8 +372,7 @@ class Surrogate:
 
         The mean is k . solve and the variance 1 - |L^-1 k|^2, clamped at 0.
         """
-        units = self.units
-        sqdist = sum((unit_points[:, j, None] - units[:, j]) ** 2 for j in range(units.shape[1]))
+        sqdist = kernels._pairwise_sqdist(unit_points.T, self.units.T)
         k = kernels._matern_from_scaled(np.sqrt(sqdist) / self.lengthscale, 2.5)
         half = k @ self.chol_inv.T
         var = 1.0 - np.einsum("ij,ij->i", half, half)
@@ -431,7 +430,7 @@ class SurrogateFactors:
 
     def _append(self, u: np.ndarray) -> None:
         m = self.size
-        dist = np.sqrt(np.sum((self.units[:m] - u) ** 2, axis=1))
+        dist = np.sqrt(kernels._pairwise_sqdist(u[:, None], self.units[:m].T)[0])
         k = kernels._matern_from_scaled(dist / self.lengthscales[:, None], 2.5)
         inv = self.chol_inv[:, :m, :m]
         proj = np.matmul(inv, k[:, :, None])[:, :, 0]
@@ -571,11 +570,15 @@ def tune(
     already been passed to ``on_trial``.
 
     Returns the trace with the incumbent (argmax) and the work counts.
-    Raises ``ResourceError`` when the budget's factor store, about
+    Raises ``InputError``, before any objective call, when a query is
+    asked for on fewer than the surrogate's 2 Sobol trials, and
+    ``ResourceError`` when the budget's factor store, about
     ``_SURROGATE_GRID_SIZE`` * (n0 + n_query)^2 floats, cannot be allocated.
     """
     if n_query < 0:
         raise InputError(f"n_query must be >= 0, got {n_query}")
+    if n_query and n0 < 2:
+        raise InputError(f"n0 must be >= 2 for the surrogate of n_query={n_query}, got {n0}")
     trace = TuneTrace()
     try:
         factors = SurrogateFactors(space.dim, n0 + n_query - 1, trace.counts) if n_query else None

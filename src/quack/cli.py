@@ -2,8 +2,9 @@
 
 Subcommands: generate, tune, predict, compare, landscape, ablate.  Exit
 code 0 on success, else the ``exit_code`` of the package error raised
-(see :mod:`quack.errors`).  Every run pins numpy's OpenBLAS to one
-thread (:mod:`quack.blas`); a numpy without it exits with code 2.
+(see :mod:`quack.errors`); memory that cannot be allocated exits 2, as a
+``ResourceError``.  Every run pins numpy's OpenBLAS to one thread
+(:mod:`quack.blas`); a numpy without it exits with code 2.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from pathlib import Path
 
 from . import blas, experiments
 from .config import describe_schema, load_config
-from .errors import ConfigError, QuackError
+from .errors import ConfigError, QuackError, ResourceError
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -110,6 +111,9 @@ def main(argv=None) -> int:
     except QuackError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except MemoryError as exc:  # numpy: "Unable to allocate 72.8 TiB for an array ..."
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return ResourceError.exit_code
 
 
 def _dispatch(args, cfg, out: Path) -> int:

@@ -55,8 +55,10 @@ class ExperimentConfig:
             )
         if not 0.0 < self.train_frac < 1.0:
             raise ConfigError(f"train_frac must be in (0, 1), got {self.train_frac}")
-        if self.n0 < 1 or self.n_query < 1:
-            raise ConfigError(f"n0={self.n0} and n_query={self.n_query} must be >= 1")
+        if self.n0 < 2:
+            raise ConfigError(f"n0={self.n0} must be >= 2: the surrogate needs 2 Sobol trials")
+        if self.n_query < 1:
+            raise ConfigError(f"n_query={self.n_query} must be >= 1")
         if self.restarts < 1:
             raise ConfigError(f"restarts must be >= 1, got {self.restarts}")
         if self.gen.seed < 0 or self.seed_bo < 0:

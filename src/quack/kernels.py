@@ -82,9 +82,8 @@ def _matern_from_scaled(d: np.ndarray, nu: float) -> np.ndarray:
 
 
 def _pairwise_sqdist(X: np.ndarray, X2: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances between columns, via explicit differences."""
-    diff = X[:, :, None] - X2[:, None, :]
-    return np.sum(diff * diff, axis=0)
+    """Squared Euclidean distances between columns, (c, c2), summed row by row of X and X2."""
+    return sum((X[j][:, None] - X2[j]) ** 2 for j in range(X.shape[0]))
 
 
 def _classical_matrix(model: KernelModel, X: np.ndarray, X2: np.ndarray) -> np.ndarray:

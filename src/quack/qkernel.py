@@ -37,8 +37,10 @@ through its transform; a wider row takes its low 14 qubits chunk by
 cache-sized chunk and only its other qubits over the whole row.  One
 phase block and one scratch block (:func:`_workspace`) serve every block
 of a call, and every query chunk of :func:`cross_gram`, which keeps one
-chunk of query states live at a time.  Windows longer than
-``QUBIT_CEILING`` are refused before anything is allocated.
+chunk of query states live at a time.  A Gram matrix
+(:func:`gram_matrix`) is the squared moduli of one ``zherk`` product of
+the states, its upper triangle mirrored by one exact addition.  Windows
+longer than ``QUBIT_CEILING`` are refused before anything is allocated.
 
 What is exact and what is not:
 
@@ -450,34 +452,18 @@ def gram_matrix(X, params: IqpParams) -> np.ndarray:
 
     Each column is embedded exactly once.  The overlaps of the upper
     triangle come from one Hermitian rank-k product (BLAS ``zherk``, half
-    the work of a full product).  Their squared moduli are written into the
-    front half of that product's own buffer, and the result is a c x c view
-    of it, so no other c x c array is allocated.  The computed triangle is
-    copied to the other one, so the result is exactly symmetric, and the
-    diagonal is set to the exact self-fidelity 1.
+    the work of a full product), whose strict lower triangle is 0.  The
+    states are released once the product is made, and the complex product
+    once its moduli are taken, so at most the product and one real c x c
+    array are live together.  Adding the strict upper triangle's transpose
+    fills the lower one exactly, so the result is exactly symmetric, and
+    the diagonal is set to the exact self-fidelity 1.
     """
-    emb = embed_columns(X, params)
-    c = emb.shape[0]
-    if c == 0:
+    X = _as_window(X, params.n, ndim=2)
+    if X.shape[1] == 0:
         return np.empty((0, 0))
-    overlaps = blas.upper_overlaps(emb)
-    # Column j of the Fortran-ordered product is floats [2cj, 2cj + 2c) of
-    # its buffer, and its |.|^2 goes to floats [cj, cj + c).  For the block
-    # of columns j..2j-1 that is [cj, 2cj): clear of the block's own floats
-    # and over columns before j, already done.  So the columns go in blocks
-    # 0, 1, 2-3, 4-7, ...
-    floats = overlaps.reshape(-1, order="F").view(float)
-    start = 0
-    while start < c:
-        stop = min(c, max(1, 2 * start))
-        square = floats[c * start : c * stop].reshape(stop - start, c).T
-        np.abs(overlaps[:, start:stop], out=square)
-        np.square(square, out=square)
-        start = stop
-    # Row j holds |overlap(i, j)|^2 for i <= j; copy it to column j.
-    gram = floats[: c * c].reshape(c, c)
-    for j in range(1, c):
-        gram[:j, j] = gram[j, :j]
+    gram = np.abs(blas.upper_overlaps(_embed(X, params.alpha))) ** 2
+    gram += np.triu(gram, 1).T
     np.fill_diagonal(gram, 1.0)
     return gram
 

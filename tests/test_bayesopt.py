@@ -590,6 +590,13 @@ class TestTune:
         assert len(calls) == 8
         assert trace.incumbent_value == max(calls)
 
+    @pytest.mark.parametrize("n0", [0, 1])
+    def test_queries_on_fewer_than_two_trials_raise_before_any_call(self, n0):
+        calls = []
+        with pytest.raises(InputError, match="n0 must be >= 2"):
+            tune(calls.append, UNIT3, n0=n0, n_query=2, seed=0)
+        assert calls == []
+
     @pytest.mark.parametrize("n_query", [10**7, 10**9])
     def test_unallocatable_budget_is_a_resource_error(self, n_query):
         # At 10**7 the factor store would be about 1e17 bytes, far beyond any

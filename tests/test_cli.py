@@ -38,6 +38,14 @@ def _write_config(tmp_path, text):
     return path
 
 
+def _overcommits_always():
+    """Whether Linux grants every allocation (``vm.overcommit_memory = 1``)."""
+    try:
+        return Path("/proc/sys/vm/overcommit_memory").read_text().strip() == "1"
+    except OSError:
+        return False
+
+
 _FINITE = st.floats(-1e6, 1e6, allow_nan=False)
 _POSITIVE = st.floats(1e-6, 1e6)
 
@@ -68,7 +76,7 @@ def valid_configs(draw):
         kernel=draw(st.sampled_from(kernels.KERNEL_KINDS)),
         matern_nu=draw(st.sampled_from(kernels.MATERN_NUS)),
         matern_all=draw(st.booleans()),
-        n0=draw(st.integers(1, 500)),
+        n0=draw(st.integers(2, 500)),
         n_query=draw(st.integers(1, 500)),
         restarts=draw(st.integers(1, 64)),
         seed_bo=draw(st.integers(0, 2**31 - 1)),
@@ -332,6 +340,16 @@ class TestTuneCommand:
             # the budget fails before any run directory is made
             assert not (tmp_path / "tune_iqp").exists(), command
             assert not (tmp_path / "predict_iqp").exists(), command
+
+    def test_single_sobol_trial_exits_2_before_tuning(self, tmp_path, capsys):
+        # The first query's surrogate needs 2 trials; with n0 = 1 a tune
+        # would spend one objective call, fail and leave tune_iqp/trace.csv.
+        cfg_path = _write_config(tmp_path, "n0 = 1\nn_query = 2\n")
+        out = tmp_path / "out"
+        assert cli.main(["--config", str(cfg_path), "--out", str(out), "tune"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: n0=1 ") and err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestPredictCommand:
@@ -611,6 +629,28 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == EXIT_DATA
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.skipif(
+        _overcommits_always(), reason="arrays of tens of TiB may be mapped and then filled"
+    )
+    @pytest.mark.parametrize(
+        "text, command",
+        [
+            ("gen.n_steps = 10000000000000\n", "generate"),  # 72.8 TiB
+            ("landscape.grid = 1000000\n", "landscape"),  # 36.4 TiB
+        ],
+        ids=["n_steps", "landscape_grid"],
+    )
+    def test_unallocatable_array_exits_2_without_traceback(self, tmp_path, capsys, text,
+                                                           command):
+        # Far beyond any host's memory and swap, so numpy's allocation fails
+        # at once; a mid-size request could be granted and then killed.
+        cfg_path = _write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert cli.main(["--config", str(cfg_path), "--out", str(out), command]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_numerical_error(self, tmp_path, capsys, monkeypatch):
         def failing_generate(cfg, out_dir):

@@ -58,6 +58,24 @@ class TestFit:
         rel = np.linalg.norm(model.chol @ model.chol.T - target) / np.linalg.norm(target)
         assert rel < 1e-8
 
+    def test_iqp_fit_peaks_at_product_and_one_real_matrix(self):
+        # The objective's largest paper-scale fit: 5 qubits, 355 windows.
+        # The Gram's complex zherk product (16 c^2 bytes) and its moduli
+        # (8 c^2) are live together once; the states are freed before, and
+        # the factor (8 c^2) and its finiteness mask (c^2) come after the
+        # product is freed.  A Gram that kept the product's buffer alive
+        # into factor_and_solve would peak at 25 c^2.
+        c = 355
+        X = np.random.default_rng(25).normal(size=(5, c))
+        hp = _hp("iqp", alpha=0.5)
+        tracemalloc.start()
+        try:
+            fit(X, np.zeros(c), hp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * c * c + 16 * 1024
+
     def test_shape_validation(self):
         with pytest.raises(InputError):
             fit(np.zeros((3, 2)), np.zeros(3), _hp())

@@ -310,22 +310,6 @@ class TestBlockPath:
             tracemalloc.stop()
         assert peak <= 0.01 * src.nbytes
 
-    def test_gram_allocates_no_second_matrix(self):
-        # Besides the states, only the zherk product's complex c x c buffer,
-        # which holds the result; a separate real |.|^2 array would add half
-        # again.
-        c = 355
-        X = np.random.default_rng(25).normal(size=(5, c))
-        params = IqpParams(0.5, 5)
-        tracemalloc.start()
-        try:
-            gram_matrix(X, params)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        states = c * 2**5 * np.dtype(complex).itemsize
-        assert peak <= states + 1.1 * c * c * np.dtype(complex).itemsize
-
     def test_rejects_bad_designs(self):
         params = IqpParams(0.5, 3)
         with pytest.raises(InputError):
