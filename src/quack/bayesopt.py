@@ -53,30 +53,12 @@ LOG_EI_FLOOR = -1.0e300
 # Switch from the erfcx tail to the asymptotic Mills-ratio series here.
 _DEEP_TAIL = -30.0
 
-# W. J. Cody's rational Chebyshev approximations of erf on [0, 0.46875]
-# and of erfcx on [0.46875, 4] and in 1 / x^2 beyond (Math. Comp. 23,
-# 1969, as in his CALERF): numerator and denominator coefficients, highest
-# power first, the denominators monic.
-_CODY_ERF = (
-    (1.85777706184603153e-1, 3.16112374387056560e00, 1.13864154151050156e02,
-     3.77485237685302021e02, 3.20937758913846947e03),
-    (1.0, 2.36012909523441209e01, 2.44024637934444173e02, 1.28261652607737228e03,
-     2.84423683343917062e03),
-)
-_CODY_ERFCX = (
-    (2.15311535474403846e-8, 5.64188496988670089e-1, 8.88314979438837594e00,
-     6.61191906371416295e01, 2.98635138197400131e02, 8.81952221241769090e02,
-     1.71204761263407058e03, 2.05107837782607147e03, 1.23033935479799725e03),
-    (1.0, 1.57449261107098347e01, 1.17693950891312499e02, 5.37181101862009858e02,
-     1.62138957456669019e03, 3.29079923573345963e03, 4.36261909014324716e03,
-     3.43936767414372164e03, 1.23033935480374942e03),
-)
-_CODY_ASYMPTOTIC = (
-    (1.63153871373020978e-2, 3.05326634961232344e-1, 3.60344899949804439e-1,
-     1.25781726111229246e-1, 1.60837851487422766e-2, 6.58749161529837803e-4),
-    (1.0, 2.56852019228982242e00, 1.87295284992346725e00, 5.27905102951428412e-1,
-     6.05183413124413191e-2, 2.33520497626869185e-3),
-)
+# erfc at each entry of an array, from the C library through ``math.erfc``.
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+# Veltkamp's splitting factor 2^27 + 1: splits a double into two halves of
+# at most 26 significant bits, whose pairwise products are exact.
+_SPLITTER = 134217729.0
 
 _SOBOL_BITS = 30
 _SOBOL_MAX_DIM = 4
@@ -100,7 +82,6 @@ _ZOOM_LEVELS = 2
 
 _SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 _SQRT_HALF = math.sqrt(0.5)
-_INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -251,70 +232,48 @@ def sobol_init(space: SearchSpace, n0: int, seed: int) -> np.ndarray:
     return space.from_unit(unit)
 
 
-def _ratio(coefficients, x: np.ndarray) -> np.ndarray:
-    """The rational function of ``coefficients`` (see ``_CODY_ERF``) at ``x``, by Horner's rule."""
-    (a0, a1, *numerator), (_, b1, *denominator) = coefficients
-    num, den = a0 * x + a1, x + b1
-    for a, b in zip(numerator, denominator):
-        num *= x
-        num += a
-        den *= x
-        den += b
-    num /= den
-    return num
-
-
 def _erfcx(y: np.ndarray) -> np.ndarray:
-    """erfcx(y) = exp(y^2) erfc(y) at each entry of the 1-d array ``y`` >= 0.
+    """erfcx(y) = exp(y^2) erfc(y) at each entry of the 1-d array ``y`` in [0, 26].
 
-    Cody's approximations (``_CODY_ERF``), relative error below 1e-14: up
-    to 0.46875 from erf, above from the two rational functions of erfcx.
+    erfc is the C library's.  y^2 is split exactly as hi + lo (Veltkamp's
+    split and Dekker's product), so exp(hi) (1 + lo) carries no rounding
+    of y^2, which exp would otherwise magnify y^2-fold.  The domain ends
+    at 26: erfc leaves the normal range near 26.5 and exp(y^2) overflows
+    near 26.6.
     """
-    out = np.empty(y.shape)
-    near = y <= 0.46875
-    if near.any():
-        y_near = y[near]
-        z = y_near * y_near
-        out[near] = (1.0 - y_near * _ratio(_CODY_ERF, z)) * np.exp(z)
-    mid = ~near & (y <= 4.0)
-    if mid.any():
-        out[mid] = _ratio(_CODY_ERFCX, y[mid])
-    far = y > 4.0
-    if far.any():
-        y_far = y[far]
-        z = (1.0 / y_far) ** 2
-        out[far] = (_INV_SQRT_PI - z * _ratio(_CODY_ASYMPTOTIC, z)) / y_far
-    return out
+    big = y * _SPLITTER
+    head = big - (big - y)
+    tail = y - head
+    hi = y * y
+    lo = ((head * head - hi) + 2.0 * head * tail) + tail * tail
+    return _erfc(y).astype(float) * np.exp(hi) * (1.0 + lo)
 
 
 def _log_h(delta: np.ndarray) -> np.ndarray:
     """log h at each entry of the 1-d array ``delta``, where
     h = delta Phi(delta) + phi(delta), so log EI = log sd + log h((mean - f*) / sd).
 
-    With a = |delta|, the Mills ratio M = Phi(-a) / phi(a) is
-    sqrt(pi / 2) erfcx(a / sqrt 2).  Above -1, h comes directly, with
-    Phi(delta) = phi(delta) M for delta <= 0 and 1 - phi(delta) M above.
-    Below, phi(delta) is factored out: h = phi(delta) g with g = 1 - a M.
-    Below the deep-tail switch, where the subtraction in g would lose
-    precision, the asymptotic Mills-ratio series gives g = t p(t) with
-    t = 1 / delta^2.  Each branch is computed on its own elements only.
+    Above -1, h comes directly, with Phi(delta) = erfc(-delta / sqrt 2) / 2
+    from the C library.  Below, phi(delta) is factored out: h = phi(delta) g
+    with g = 1 - a M, a = -delta, and the Mills ratio M = Phi(-a) / phi(a)
+    = sqrt(pi / 2) erfcx(a / sqrt 2).  Below the deep-tail switch, where
+    the subtraction in g would lose precision, the asymptotic Mills-ratio
+    series gives g = t p(t) with t = 1 / delta^2.  Each branch is computed
+    on its own elements only.
     """
     log_h = np.empty(delta.shape)
-    a = np.abs(delta)
-    mills = _SQRT_HALF_PI * _erfcx(a * _SQRT_HALF)
     direct = delta > -1.0
     if direct.any():
         d = delta[direct]
         phi = _INV_SQRT_2PI * np.exp(-0.5 * d * d)
-        below = phi * mills[direct]  # Phi(-a)
-        cdf = np.where(d > 0.0, 1.0 - below, below)
+        cdf = 0.5 * _erfc(-d * _SQRT_HALF).astype(float)
         log_h[direct] = np.log(d * cdf + phi)
     deep = delta < _DEEP_TAIL
     tail = ~(direct | deep)
     if tail.any():
-        a_tail = a[tail]
-        g = 1.0 - a_tail * mills[tail]
-        log_h[tail] = -0.5 * a_tail * a_tail - 0.5 * _LOG_2PI + np.log(g)
+        a = -delta[tail]
+        g = 1.0 - a * (_SQRT_HALF_PI * _erfcx(a * _SQRT_HALF))
+        log_h[tail] = -0.5 * a * a - 0.5 * _LOG_2PI + np.log(g)
     if deep.any():
         a = -delta[deep]
         t = 1.0 / (a * a)

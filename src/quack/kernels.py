@@ -96,8 +96,7 @@ def _classical_matrix(model: KernelModel, X: np.ndarray, X2: np.ndarray) -> np.n
     if model.kind == "rq":
         beta = p["beta"]
         return (1.0 + _pairwise_sqdist(X, X2) / (2.0 * beta * p["l_q"] ** 2)) ** (-beta)
-    diff = X[:, :, None] - X2[:, None, :]
-    s = np.sum(np.sin(math.pi * diff / p["p"]) ** 2, axis=0)
+    s = sum(np.sin(math.pi * (X[j][:, None] - X2[j]) / p["p"]) ** 2 for j in range(X.shape[0]))
     return np.exp(-2.0 * s / p["l_p"])
 
 

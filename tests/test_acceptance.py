@@ -36,11 +36,19 @@ from quack.bayesopt import SearchSpace, sobol_init, tune
 from quack.config import load_config
 from quack.qkernel import IqpParams
 
-_SPEC = importlib.util.spec_from_file_location(
-    "tuner_record", Path(__file__).resolve().parents[1] / "tools" / "tuner_record.py"
-)
-tuner_record = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(tuner_record)
+
+def _load_tool(name):
+    """The module of ``tools/<name>.py``."""
+    spec = importlib.util.spec_from_file_location(
+        name, Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+diff_runs = _load_tool("diff_runs")
+tuner_record = _load_tool("tuner_record")
 
 
 def _passed(num, name):
@@ -318,22 +326,11 @@ def test_criterion_9_determinism(tmp_path):
     dirs = (tmp_path / "run_a", tmp_path / "run_b")
     for d in dirs:
         assert cli.main(["--config", str(cfg_path), "--out", str(d), "compare"]) == 0
-    a, b = (d / "compare" for d in dirs)
-    assert (a / "table.csv").read_bytes() == (b / "table.csv").read_bytes()
-    assert (a / "flags.csv").read_bytes() == (b / "flags.csv").read_bytes()
-    for kind in kernels.KERNEL_KINDS:
-        assert (a / kind / "predictions.csv").read_bytes() == (
-            b / kind / "predictions.csv"
-        ).read_bytes()
-        # traces match after the timestamp field is stripped
-        for name in ("trace.csv",):
-            ta = [l.rsplit(",", 1)[0] for l in (a / kind / name).read_text().splitlines()]
-            tb = [l.rsplit(",", 1)[0] for l in (b / kind / name).read_text().splitlines()]
-            assert ta == tb
-        ra = json.loads((a / kind / "record.json").read_text())
-        rb = json.loads((b / kind / "record.json").read_text())
-        ra.pop("timings"), rb.pop("timings")
-        assert ra == rb
+    # every file of the run, tuned.json included; timings and trace
+    # timestamps aside
+    differing, total = diff_runs.diff_trees(*dirs)
+    assert total == 22
+    assert differing == []
     _passed(9, "determinism")
 
 

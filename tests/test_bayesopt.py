@@ -209,12 +209,12 @@ class TestErfcx:
 
     def test_matches_extended_precision(self):
         mpmath = pytest.importorskip("mpmath")
-        # Cody's range edges, and the arguments at _log_h's switches at
-        # delta = -1 and -30
-        edges = np.array([0.46875, 4.0, 1.0 / math.sqrt(2.0), 30.0 / math.sqrt(2.0)])
-        y = np.concatenate([np.linspace(0.0, 30.0, 1201), edges])
+        # The stated domain [0, 26], and the arguments at _log_h's switches
+        # at delta = -1 and -30, the ends of the range it passes
+        edges = np.array([1.0 / math.sqrt(2.0), 30.0 / math.sqrt(2.0)])
+        y = np.concatenate([np.linspace(0.0, 26.0, 1041), edges])
         y = np.unique(np.concatenate([y, np.nextafter(y, np.inf), np.nextafter(y, -np.inf)]))
-        y = y[y >= 0.0]
+        y = y[(y >= 0.0) & (y <= 26.0)]
         with mpmath.workdps(50):
             ref = np.array([float(mpmath.erfc(v) * mpmath.exp(v * v)) for v in map(mpmath.mpf, y)])
         rel = np.abs(bayesopt._erfcx(y) - ref) / ref

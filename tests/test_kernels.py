@@ -1,6 +1,7 @@
 """Classical baseline kernels and the kind dispatch."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -160,6 +161,22 @@ class TestClassicalGramProperties:
             gm = gram(KernelModel(kind, {**params, **fixed}), X)
             assert np.array_equal(gm, gm.T), kind
             assert np.array_equal(np.diag(gm), np.ones(c)), kind
+
+    def test_periodic_gram_sums_row_by_row(self):
+        # 5 lags, 355 windows: the running sum, one row's differences and
+        # their sines are the c x c arrays live at once, 3 c^2 floats.  A
+        # (w, c, c) array of differences would peak at about 15 c^2.
+        c = 355
+        X = np.random.default_rng(26).normal(size=(5, c))
+        model = KernelModel("periodic", {"p": 10.0, "l_p": 1.0})
+        tracemalloc.start()
+        try:
+            gram(model, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * 8 * c * c + 16 * 1024
+
 
 class TestKernelModel:
     def test_out_of_bounds_rejected(self):
