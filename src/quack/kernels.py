@@ -71,14 +71,26 @@ class KernelModel:
 
 
 def _matern_from_scaled(d: np.ndarray, nu: float) -> np.ndarray:
-    """Vectorized Matern closed forms on pre-scaled distances d = ||x-x2||/l."""
+    """Vectorized Matern closed forms on pre-scaled distances d = ||x-x2||/l.
+
+    Built in place, in the float order of ``(1.0 + s + 5.0 * d * d / 3.0)
+    * np.exp(-s)``: beside ``d``, two arrays of its shape are live for
+    nu = 1.5 and three for nu = 2.5.
+    """
     if nu == 0.5:
-        return np.exp(-d)
-    if nu == 1.5:
-        s = math.sqrt(3.0) * d
-        return (1.0 + s) * np.exp(-s)
-    s = math.sqrt(5.0) * d
-    return (1.0 + s + 5.0 * d * d / 3.0) * np.exp(-s)
+        e = np.negative(d)
+        return np.exp(e, out=e)
+    s = np.multiply(d, math.sqrt(3.0 if nu == 1.5 else 5.0))
+    e = np.negative(s)
+    np.exp(e, out=e)
+    s += 1.0
+    if nu != 1.5:
+        t = np.multiply(d, 5.0)
+        t *= d
+        t /= 3.0
+        s += t
+    s *= e
+    return s
 
 
 def _pairwise_sqdist(X: np.ndarray, X2: np.ndarray) -> np.ndarray:

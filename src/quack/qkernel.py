@@ -36,11 +36,12 @@ windows at 5 qubits, one at 16.  A block of fewer qubits stays in cache
 through its transform; a wider row takes its low 14 qubits chunk by
 cache-sized chunk and only its other qubits over the whole row.  One
 phase block and one scratch block (:func:`_workspace`) serve every block
-of a call, and every query chunk of :func:`cross_gram`, which keeps one
-chunk of query states live at a time.  A Gram matrix
-(:func:`gram_matrix`) is the squared moduli of one ``zherk`` product of
-the states, its upper triangle mirrored by one exact addition.  Windows
-longer than ``QUBIT_CEILING`` are refused before anything is allocated.
+of a call, and every query chunk of :func:`cross_gram`, which releases
+each chunk of query states before it embeds the next, so one is live at a
+time.  A Gram matrix (:func:`gram_matrix`) is the squared moduli of one
+``zherk`` product of the states, its upper triangle mirrored by one exact
+addition.  Windows longer than ``QUBIT_CEILING`` are refused before
+anything is allocated.
 
 What is exact and what is not:
 
@@ -478,7 +479,9 @@ def cross_gram(X, X2, params: IqpParams) -> np.ndarray:
     8-column chunks (one OpenBLAS thread on a 2-CPU x86-64 host).  One
     :func:`_workspace` serves every chunk.  Each query chunk is conjugated
     in place, so the training states are never copied; a fidelity is
-    symmetric in its two states.
+    symmetric in its two states.  A chunk is released once its fidelities
+    are stored, before the next is embedded, so the working set is the
+    training states, one query chunk and the workspace.
     """
     ket = _embed(_as_window(X, params.n, ndim=2), params.alpha)
     X2 = _as_window(X2, params.n, ndim=2)
@@ -490,4 +493,6 @@ def cross_gram(X, X2, params: IqpParams) -> np.ndarray:
         bra = _embed(X2[:, start : start + width], params.alpha, work)
         np.conjugate(bra, out=bra)
         fidelity[:, start : start + width] = (np.abs(bra @ ket.T) ** 2).T
+        # Released before the next chunk is embedded, or two are live.
+        del bra
     return fidelity

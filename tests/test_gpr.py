@@ -1,7 +1,6 @@
 """GP regression against a direct matrix-inversion oracle."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.linalg import cho_solve
 
 import oracles
+from conftest import traced_peak
 from quack import gpr, kernels
 from quack.errors import InputError, NumericalError, ParameterError
 from quack.gpr import GprHyperparams, fit, mll, predict_batch
@@ -68,13 +68,7 @@ class TestFit:
         c = 355
         X = np.random.default_rng(25).normal(size=(5, c))
         hp = _hp("iqp", alpha=0.5)
-        tracemalloc.start()
-        try:
-            fit(X, np.zeros(c), hp)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 24 * c * c + 16 * 1024
+        assert traced_peak(fit, X, np.zeros(c), hp) <= 24 * c * c + 16 * 1024
 
     def test_shape_validation(self):
         with pytest.raises(InputError):
@@ -316,10 +310,4 @@ class TestFactorAndSolve:
         c = 355
         gram = _random_gram(c)
         resid = np.ones(c)
-        tracemalloc.start()
-        try:
-            gpr.factor_and_solve(gram, 0.1, resid, "x")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.5 * c * c * 8
+        assert traced_peak(gpr.factor_and_solve, gram, 0.1, resid, "x") <= 1.5 * c * c * 8

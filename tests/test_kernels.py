@@ -1,7 +1,6 @@
 """Classical baseline kernels and the kind dispatch."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import traced_peak
 from oracles import evaluate
 from quack import kernels, qkernel
 from quack.errors import InputError, ParameterError
@@ -162,20 +162,24 @@ class TestClassicalGramProperties:
             assert np.array_equal(gm, gm.T), kind
             assert np.array_equal(np.diag(gm), np.ones(c)), kind
 
-    def test_periodic_gram_sums_row_by_row(self):
-        # 5 lags, 355 windows: the running sum, one row's differences and
-        # their sines are the c x c arrays live at once, 3 c^2 floats.  A
-        # (w, c, c) array of differences would peak at about 15 c^2.
+    @pytest.mark.parametrize(
+        "kind, params, bound",
+        [
+            pytest.param("periodic", {"p": 10.0, "l_p": 1.0}, 5, id="periodic"),
+            pytest.param("matern", {"nu": 1.5, "l_m": 1.0}, 4, id="matern-1.5"),
+            pytest.param("matern", {"nu": 2.5, "l_m": 1.0}, 4, id="matern-2.5"),
+        ],
+    )
+    def test_classical_gram_peak_memory(self, kind, params, bound):
+        # 5 lags, 355 windows, peak in c^2 floats.  Periodic: the running
+        # sum, one row's differences and their sines are live at once, 3; a
+        # (w, c, c) array of differences would peak at about 15.  Matern:
+        # the scaled distances d and the in-place closed form's s and
+        # exp(-s), 3, and for nu = 5/2 its d^2 term, 4; the chain of
+        # temporaries of the plain expression peaks at 5.
         c = 355
         X = np.random.default_rng(26).normal(size=(5, c))
-        model = KernelModel("periodic", {"p": 10.0, "l_p": 1.0})
-        tracemalloc.start()
-        try:
-            gram(model, X)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 5 * 8 * c * c + 16 * 1024
+        assert traced_peak(gram, KernelModel(kind, params), X) <= bound * 8 * c * c + 16 * 1024
 
 
 class TestKernelModel:

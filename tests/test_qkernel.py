@@ -1,12 +1,11 @@
 """Fidelity kernel: closed-form examples, dense-oracle agreement, invariants."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak
 from oracles import embed_dense, hadamard_transform
 from quack import blas, qkernel
 from quack.errors import InputError, ResourceError
@@ -268,11 +267,13 @@ class TestBlockPath:
         # 1 % of a 16-qubit state; the factor inputs and their sums live in
         # the states not yet written (a store of their own would add 4 %),
         # and numpy's ufunc buffer, whose default 8192 elements are 12.5 %
-        # of it, is shrunk.  The Gram and cross kernel add only one-window
-        # blocks to the training states: no conjugated copies.  A full
-        # block of 1024 windows at 5 qubits peaks at 3.04 x the states; a
-        # block-sized copy anywhere, in the phase factors or in the
-        # transform, would add 1.0 x.
+        # of it, is shrunk.  The Gram adds only one-window blocks to the
+        # training states: no conjugated copies.  The cross kernel adds one
+        # query chunk of 8 windows and its one-window blocks: 1.345 x its
+        # 29 training states, where a chunk kept live while the next is
+        # embedded would make it 1.62 x.  A full block of 1024 windows at
+        # 5 qubits peaks at 3.04 x the states; a block-sized copy anywhere,
+        # in the phase factors or in the transform, would add 1.0 x.
         rng = np.random.default_rng(23)
         params = IqpParams(0.5, 16)
         X, X2 = rng.normal(size=(16, 29)), rng.normal(size=(16, 20))
@@ -280,16 +281,11 @@ class TestBlockPath:
         for call, args, states, bound in (
             (embed_columns, (X[:, :1], params), 1, 3.01),
             (gram_matrix, (X, params), 29, 1.25),
-            (qkernel.cross_gram, (X, X2, params), 29, 2.0),
+            (qkernel.cross_gram, (X, X2, params), 29, 1.40),
             (embed_columns, (small, IqpParams(0.5, 5)), small.shape[1], 3.1),
         ):
             state_bytes = 2 ** args[0].shape[0] * np.dtype(complex).itemsize
-            tracemalloc.start()
-            try:
-                call(*args)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            peak = traced_peak(call, *args)
             assert peak <= bound * states * state_bytes, (call.__name__, states)
 
     @pytest.mark.parametrize("n", [1, 5, 10, 15, 16, 18])
@@ -302,13 +298,7 @@ class TestBlockPath:
         rows = max(1, qkernel._BLOCK_AMPLITUDES // 2**n)
         src = np.ones((rows, 2**n), dtype=complex)
         out, scratch = np.empty_like(src), np.empty_like(src)
-        tracemalloc.start()
-        try:
-            qkernel._fwht(src, out, scratch)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 0.01 * src.nbytes
+        assert traced_peak(qkernel._fwht, src, out, scratch) <= 0.01 * src.nbytes
 
     def test_rejects_bad_designs(self):
         params = IqpParams(0.5, 3)
